@@ -1,11 +1,11 @@
-// Batched-pipeline benchmark: the same plans executed tuple-at-a-time
-// (the pre-batching executor, kept as baseline), batched (RowBatch +
-// compiled expression programs), and with a parallel sequential scan.
-// Workloads are the paper's keyword+join shape over the full generated
-// corpus. Emits BENCH_pipeline.json next to stdout for drivers.
+// Batched-pipeline benchmark: the same queries executed by the batched
+// pipeline (RowBatch + compiled expression programs) and with a parallel
+// sequential scan. Workloads are the paper's keyword+join shape over the
+// full generated corpus. Writes BENCH_pipeline.json beside the stdout
+// table.
 //
-// Plain main (no google-benchmark) so all three modes share one plan and
-// row counts can be cross-checked between modes.
+// Plain main (no google-benchmark) so both modes run the same queries and
+// row counts can be cross-checked between them.
 
 #include <algorithm>
 #include <chrono>
@@ -31,7 +31,6 @@ using xomatiq::benchutil::GetWarehouse;
 using xomatiq::benchutil::JsonReport;
 using xomatiq::benchutil::Unwrap;
 using xomatiq::rel::RowBatch;
-using xomatiq::rel::Tuple;
 using xomatiq::sql::Executor;
 using xomatiq::sql::PlanNode;
 using xomatiq::sql::PlanPtr;
@@ -70,20 +69,6 @@ std::vector<PlanPtr> PlanAll(Planner* planner,
     plans.push_back(Unwrap(planner->PlanSelect(stmt.select), "plan"));
   }
   return plans;
-}
-
-size_t RunRowAtATime(Executor* exec, const std::vector<PlanPtr>& plans) {
-  size_t rows = 0;
-  for (const PlanPtr& plan : plans) {
-    xomatiq::benchutil::Check(
-        exec->ExecuteRowAtATime(*plan,
-                                [&](const Tuple&) {
-                                  ++rows;
-                                  return true;
-                                }),
-        "row exec");
-  }
-  return rows;
 }
 
 size_t RunBatched(Executor* exec, const std::vector<PlanPtr>& plans) {
@@ -248,8 +233,8 @@ void BenchWalChecksum(JsonReport* report, int reps) {
 //                  pool sizes itself from the host (hw - 1 workers), so on
 //                  a single-core machine admission keeps every operator
 //                  serial and this column tracks serial_ms instead of
-//                  paying fan-out overhead. The >= 3x speedup target is
-//                  only reachable on >= 4 cores.
+//                  paying fan-out overhead. Aggregates always run
+//                  serially; only their input scan or join fans out.
 //   forced4_ms   — the same parallel plans forced through an explicit
 //                  4-worker pool regardless of host width: a diagnostic
 //                  that the fan-out machinery itself runs under bench
@@ -424,22 +409,20 @@ int main(int argc, char** argv) {
   Executor stats_exec(db, stats_options);
 
   JsonReport report("BENCH_pipeline.json");
-  std::printf("%-18s %12s %12s %12s %9s %9s\n", "workload", "row_at_a_time",
-              "batched", "parallel", "speedup", "rows");
+  std::printf("%-18s %12s %12s %9s\n", "workload", "batched", "parallel",
+              "rows");
   for (const Workload& w : workloads) {
     std::vector<PlanPtr> plans = PlanAll(&planner, w.sql);
     std::vector<PlanPtr> par_plans = PlanAll(&par_planner, w.sql);
 
-    size_t rows_row = RunRowAtATime(&exec, plans);
     size_t rows_batch = RunBatched(&exec, plans);
     size_t rows_par = RunBatched(&exec, par_plans);
-    if (rows_row != rows_batch || rows_row != rows_par) {
-      std::fprintf(stderr, "row count mismatch in %s: %zu/%zu/%zu\n",
-                   w.name.c_str(), rows_row, rows_batch, rows_par);
+    if (rows_batch != rows_par) {
+      std::fprintf(stderr, "row count mismatch in %s: %zu/%zu\n",
+                   w.name.c_str(), rows_batch, rows_par);
       return 1;
     }
 
-    double t_row = BestOfSeconds(reps, [&] { RunRowAtATime(&exec, plans); });
     double t_batch = BestOfSeconds(reps, [&] { RunBatched(&exec, plans); });
     double t_par = BestOfSeconds(reps, [&] { RunBatched(&exec, par_plans); });
     // Per-operator stats collection priced with the paired-median harness
@@ -456,22 +439,15 @@ int main(int argc, char** argv) {
           auto t1 = std::chrono::steady_clock::now();
           return std::chrono::duration<double>(t1 - t0).count();
         });
-    double t_stats = stats.t_on;
-    double speedup = t_batch > 0 ? t_row / t_batch : 0;
-    double stats_overhead_pct = stats.overhead_pct;
-
-    std::printf("%-18s %11.3fms %11.3fms %11.3fms %8.2fx %9zu\n",
-                w.name.c_str(), t_row * 1e3, t_batch * 1e3, t_par * 1e3,
-                speedup, rows_row);
+    std::printf("%-18s %11.3fms %11.3fms %9zu\n", w.name.c_str(),
+                t_batch * 1e3, t_par * 1e3, rows_batch);
     std::vector<std::pair<std::string, double>> metrics = {
         {"n", static_cast<double>(n)},
-        {"rows", static_cast<double>(rows_row)},
-        {"row_at_a_time_ms", t_row * 1e3},
+        {"rows", static_cast<double>(rows_batch)},
         {"batched_ms", t_batch * 1e3},
         {"parallel_ms", t_par * 1e3},
-        {"batched_stats_ms", t_stats * 1e3},
-        {"stats_overhead_pct", stats_overhead_pct},
-        {"speedup_batched", speedup}};
+        {"batched_stats_ms", stats.t_on * 1e3},
+        {"stats_overhead_pct", stats.overhead_pct}};
     // The last timed stats run left its actuals on the plan nodes; embed
     // the per-operator breakdown (single-statement workloads only keep
     // the flattened keys unambiguous — disjunct unions get per-plan

@@ -67,23 +67,14 @@ class Client {
   common::Result<srv::Response> ExecuteWithRetry(
       const common::QueryRequest& req, const RetryPolicy& policy = {});
 
-  // Back-compat shims over the QueryRequest entry points. QueryMode
-  // mirrors srv::RequestMode value-for-value, so the cast is exact.
-  [[deprecated("pass a common::QueryRequest instead")]]
-  common::Result<srv::Response> Execute(srv::RequestMode mode,
-                                        std::string_view text,
-                                        const common::QueryOptions& opts) {
-    return Execute(MakeRequest(mode, text, opts));
-  }
+  // Mode + text with default options. QueryMode mirrors srv::RequestMode
+  // value-for-value, so the cast is exact.
   common::Result<srv::Response> Execute(srv::RequestMode mode,
                                         std::string_view text) {
-    return Execute(MakeRequest(mode, text, {}));
-  }
-  [[deprecated("pass a common::QueryRequest instead")]]
-  common::Result<srv::Response> ExecuteWithRetry(
-      srv::RequestMode mode, std::string_view text,
-      const common::QueryOptions& opts = {}, const RetryPolicy& policy = {}) {
-    return ExecuteWithRetry(MakeRequest(mode, text, opts), policy);
+    common::QueryRequest req;
+    req.mode = static_cast<common::QueryMode>(mode);
+    req.text = std::string(text);
+    return Execute(req);
   }
 
   // Shorthands.
@@ -112,16 +103,6 @@ class Client {
  private:
   Client(int fd, std::string host, uint16_t port, uint32_t features)
       : fd_(fd), host_(std::move(host)), port_(port), features_(features) {}
-
-  static common::QueryRequest MakeRequest(srv::RequestMode mode,
-                                          std::string_view text,
-                                          const common::QueryOptions& opts) {
-    common::QueryRequest req;
-    req.mode = static_cast<common::QueryMode>(mode);
-    req.text = std::string(text);
-    req.options = opts;
-    return req;
-  }
 
   // Tears down the socket and redoes Connect (including the handshake)
   // against the remembered endpoint.

@@ -51,26 +51,6 @@ class ClusterClient {
   common::Result<srv::Response> Write(const common::QueryRequest& req);
   common::Result<srv::Response> Read(const common::QueryRequest& req);
 
-  // Back-compat shims over the QueryRequest entry points.
-  [[deprecated("pass a common::QueryRequest instead")]]
-  common::Result<srv::Response> Execute(srv::RequestMode mode,
-                                        std::string_view text,
-                                        const common::QueryOptions& opts = {}) {
-    return Execute(MakeRequest(mode, text, opts));
-  }
-  [[deprecated("pass a common::QueryRequest instead")]]
-  common::Result<srv::Response> Write(srv::RequestMode mode,
-                                      std::string_view text,
-                                      const common::QueryOptions& opts = {}) {
-    return Write(MakeRequest(mode, text, opts));
-  }
-  [[deprecated("pass a common::QueryRequest instead")]]
-  common::Result<srv::Response> Read(srv::RequestMode mode,
-                                     std::string_view text,
-                                     const common::QueryOptions& opts = {}) {
-    return Read(MakeRequest(mode, text, opts));
-  }
-
   // Shorthands, routed like Execute.
   common::Result<srv::Response> Sql(std::string_view text) {
     return Execute(common::QueryRequest::Sql(std::string(text)));
@@ -93,16 +73,6 @@ class ClusterClient {
 
  private:
   common::Result<srv::Response> OnPrimary(const common::QueryRequest& req);
-
-  static common::QueryRequest MakeRequest(srv::RequestMode mode,
-                                          std::string_view text,
-                                          const common::QueryOptions& opts) {
-    common::QueryRequest req;
-    req.mode = static_cast<common::QueryMode>(mode);
-    req.text = std::string(text);
-    req.options = opts;
-    return req;
-  }
 
   ClusterOptions options_;
   std::optional<Client> primary_;

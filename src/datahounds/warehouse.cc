@@ -230,12 +230,26 @@ Result<UpdateStats> Warehouse::SyncSource(const std::string& collection,
     return true;
   });
 
-  UpdateStats stats;
+  // Validate every added or changed document before the first document
+  // write, so one invalid entry fails the sync with nothing applied, as
+  // in a load. Unchanged documents were validated when they were stored.
+  std::vector<int64_t> hashes;
+  hashes.reserve(docs.size());
   for (const TransformedDocument& doc : docs) {
+    hashes.push_back(ContentHash(doc.document));
+    auto it = existing.find(doc.uri);
+    if (it == existing.end() || it->second.second != hashes.back()) {
+      XQ_RETURN_IF_ERROR(c->dtd.CheckValid(doc.document));
+    }
+  }
+
+  UpdateStats stats;
+  for (size_t i = 0; i < docs.size(); ++i) {
     // Fault point hounds.sync.apply: fail the sync between per-document
     // apply steps (add / update / remove), leaving a prefix applied.
     XQ_FAULT_POINT("hounds.sync.apply");
-    int64_t hash = ContentHash(doc.document);
+    const TransformedDocument& doc = docs[i];
+    int64_t hash = hashes[i];
     auto it = existing.find(doc.uri);
     if (it == existing.end()) {
       XQ_ASSIGN_OR_RETURN(

@@ -96,7 +96,9 @@ class Warehouse {
 
   // Incremental update: diffs transformed entries against warehoused
   // documents by uri + content hash; applies adds/updates/removes and
-  // fires triggers.
+  // fires triggers. Every added or changed document is validated against
+  // the collection DTD first: on a violation the sync fails and no
+  // document is written.
   common::Result<UpdateStats> SyncSource(const std::string& collection,
                                          const XmlTransformer& transformer,
                                          std::string_view raw);

@@ -51,8 +51,8 @@ bool IsComparisonOp(BinaryOp op) {
   }
 }
 
-// Three-valued AND/OR over already-evaluated operands; mirrors the
-// non-short-circuit tail of the tree walker.
+// Three-valued AND/OR over already-evaluated operands (the probe has
+// already settled the short-circuit cases).
 Value Combine3VL(bool is_and, const Value& lv, const Value& rv) {
   std::optional<bool> l = Truthiness(lv);
   std::optional<bool> r = Truthiness(rv);

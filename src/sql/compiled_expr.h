@@ -12,8 +12,8 @@ namespace xomatiq::sql {
 
 // One step of a compiled expression program. Programs are the expression
 // tree flattened to postfix over an explicit value stack, with jump
-// targets preserving AND/OR short-circuit (and its three-valued logic)
-// exactly as the tree walker evaluates it.
+// targets for AND/OR short-circuit. Booleans are INT 0/1, and SQL
+// three-valued logic propagates NULL.
 struct ExprOp {
   enum class Code {
     kPushConst,   // push `constant`
@@ -46,16 +46,16 @@ struct ExprOp {
 // Reusable per-evaluator scratch space. Not shared across threads. The
 // value stack holds borrowed pointers (into the input tuple, the
 // program's constants, or `owned` temporaries), so slot and constant
-// pushes copy nothing — the win over re-walking the AST, which returns a
-// fresh Value per node.
+// pushes copy nothing.
 struct EvalScratch {
   std::vector<const rel::Value*> stack;
   std::vector<rel::Value> owned;
 };
 
-// A slot-bound expression program: built once at plan time, evaluated per
-// batch without re-walking the AST. Column references must already be
-// Bind()-resolved to ordinal slots of the operator's input schema.
+// A slot-bound expression program: the only expression evaluator. Built
+// once per plan or statement, then evaluated per row or batch. Column
+// references must already be Bind()-resolved to ordinal slots of the
+// input schema.
 class CompiledExpr {
  public:
   // Flattens `e` into a program. Fails on unbound column refs and on

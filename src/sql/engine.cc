@@ -13,6 +13,7 @@
 #include "common/string_util.h"
 #include "common/trace.h"
 #include "relational/serde.h"
+#include "sql/compiled_expr.h"
 #include "sql/executor.h"
 #include "sql/expr_eval.h"
 #include "sql/parser.h"
@@ -368,45 +369,6 @@ Result<QueryResult> SqlEngine::ExecuteSelect(const SelectStmt& stmt,
   return result;
 }
 
-namespace {
-
-// Shared front half of both ExecuteSelectBatched overloads: parse and
-// insist on a SELECT.
-Result<Statement> ParseSelectOnly(std::string_view sql) {
-  static common::Histogram* parse_hist =
-      common::MetricsRegistry::Global().GetHistogram("sql.stage.parse");
-  Statement stmt;
-  {
-    common::TraceSpan span("sql.parse", parse_hist);
-    XQ_ASSIGN_OR_RETURN(stmt, ParseStatement(sql));
-  }
-  if (stmt.kind != StatementKind::kSelect) {
-    return Status::InvalidArgument("ExecuteSelectBatched requires a SELECT");
-  }
-  return stmt;
-}
-
-}  // namespace
-
-Result<rel::Schema> SqlEngine::ExecuteSelectBatched(
-    const common::QueryRequest& req, const Executor::BatchSink& sink) {
-  if (req.mode != common::QueryMode::kSql) {
-    return Status::InvalidArgument(
-        "ExecuteSelectBatched requires mode=sql");
-  }
-  XQ_ASSIGN_OR_RETURN(Statement stmt, ParseSelectOnly(req.text));
-  return ExecuteSelectStmtBatched(
-      stmt.select, sink, common::Deadline::After(req.options.deadline_ms),
-      req.read_epoch);
-}
-
-Result<rel::Schema> SqlEngine::ExecuteSelectBatched(
-    std::string_view sql, const Executor::BatchSink& sink,
-    common::Deadline deadline) {
-  XQ_ASSIGN_OR_RETURN(Statement stmt, ParseSelectOnly(sql));
-  return ExecuteSelectStmtBatched(stmt.select, sink, deadline);
-}
-
 Result<rel::Schema> SqlEngine::ExecuteSelectStmtBatched(
     const SelectStmt& stmt, const Executor::BatchSink& sink,
     common::Deadline deadline, std::optional<uint64_t> read_epoch) {
@@ -470,24 +432,20 @@ Result<QueryResult> SqlEngine::ExecuteInsert(const InsertStmt& stmt) {
     }
   }
   QueryResult result;
+  EvalScratch scratch;
   for (const std::vector<ExprPtr>& row_exprs : stmt.rows) {
     Tuple tuple(schema.size(), Value::Null());
-    if (positions.empty()) {
-      if (row_exprs.size() != schema.size()) {
-        return Status::InvalidArgument(
-            "INSERT arity mismatch for table " + stmt.table);
-      }
-      for (size_t i = 0; i < row_exprs.size(); ++i) {
-        XQ_ASSIGN_OR_RETURN(tuple[i], Eval(*row_exprs[i], {}));
-      }
-    } else {
-      if (row_exprs.size() != positions.size()) {
-        return Status::InvalidArgument(
-            "INSERT arity mismatch for table " + stmt.table);
-      }
-      for (size_t i = 0; i < row_exprs.size(); ++i) {
-        XQ_ASSIGN_OR_RETURN(tuple[positions[i]], Eval(*row_exprs[i], {}));
-      }
+    size_t arity = positions.empty() ? schema.size() : positions.size();
+    if (row_exprs.size() != arity) {
+      return Status::InvalidArgument("INSERT arity mismatch for table " +
+                                     stmt.table);
+    }
+    for (size_t i = 0; i < row_exprs.size(); ++i) {
+      // VALUES expressions are constant: evaluated against an empty row.
+      XQ_ASSIGN_OR_RETURN(CompiledExpr prog,
+                          CompiledExpr::Compile(*row_exprs[i]));
+      XQ_ASSIGN_OR_RETURN(tuple[positions.empty() ? i : positions[i]],
+                          prog.EvalRow({}, &scratch));
     }
     XQ_ASSIGN_OR_RETURN(RowId row, db_->Insert(stmt.table, std::move(tuple)));
     (void)row;
@@ -503,21 +461,24 @@ Result<std::vector<RowId>> MatchRows(rel::Database* db,
                                      const std::string& table_name,
                                      const ExprPtr& where) {
   XQ_ASSIGN_OR_RETURN(const rel::Table* table, db->GetTable(table_name));
-  ExprPtr bound;
+  std::optional<CompiledExpr> pred;
   if (where) {
-    bound = where->Clone();
+    ExprPtr bound = where->Clone();
     XQ_RETURN_IF_ERROR(Bind(bound.get(), table->schema()));
+    XQ_ASSIGN_OR_RETURN(pred, CompiledExpr::Compile(*bound));
   }
   std::vector<RowId> rows;
   Status inner;
+  EvalScratch scratch;
   table->Scan([&](RowId row, const Tuple& tuple) {
-    if (bound) {
-      auto pass = EvalPredicate(*bound, tuple);
-      if (!pass.ok()) {
-        inner = pass.status();
+    if (pred) {
+      auto v = pred->EvalRowRef(tuple, &scratch);
+      if (!v.ok()) {
+        inner = v.status();
         return false;
       }
-      if (!pass->has_value() || !**pass) return true;
+      std::optional<bool> pass = Truthiness(**v);
+      if (!pass.has_value() || !*pass) return true;
     }
     rows.push_back(row);
     return true;
@@ -542,20 +503,22 @@ Result<QueryResult> SqlEngine::ExecuteDelete(const DeleteStmt& stmt) {
 Result<QueryResult> SqlEngine::ExecuteUpdate(const UpdateStmt& stmt) {
   XQ_ASSIGN_OR_RETURN(const rel::Table* table, db_->GetTable(stmt.table));
   const rel::Schema& schema = table->schema();
-  std::vector<std::pair<size_t, ExprPtr>> sets;
+  std::vector<std::pair<size_t, CompiledExpr>> sets;
   for (const auto& [col, expr] : stmt.sets) {
     XQ_ASSIGN_OR_RETURN(size_t idx, schema.ResolveColumn(col));
     ExprPtr bound = expr->Clone();
     XQ_RETURN_IF_ERROR(Bind(bound.get(), schema));
-    sets.emplace_back(idx, std::move(bound));
+    XQ_ASSIGN_OR_RETURN(CompiledExpr prog, CompiledExpr::Compile(*bound));
+    sets.emplace_back(idx, std::move(prog));
   }
   XQ_ASSIGN_OR_RETURN(std::vector<RowId> rows,
                       MatchRows(db_, stmt.table, stmt.where));
+  EvalScratch scratch;
   for (RowId row : rows) {
     XQ_ASSIGN_OR_RETURN(const Tuple* current, table->Get(row));
     Tuple updated = *current;
-    for (const auto& [idx, expr] : sets) {
-      XQ_ASSIGN_OR_RETURN(updated[idx], Eval(*expr, *current));
+    for (const auto& [idx, prog] : sets) {
+      XQ_ASSIGN_OR_RETURN(updated[idx], prog.EvalRow(*current, &scratch));
     }
     XQ_RETURN_IF_ERROR(db_->Update(stmt.table, row, std::move(updated)));
   }

@@ -37,7 +37,7 @@ struct QueryResult {
 // Statement-level facade over parse -> plan -> execute. This is the full
 // SQL surface XomatiQ's XQ2SQL translator targets.
 //
-// Thread-safety: Execute / ExecuteSelectBatched may be called from many
+// Thread-safety: Execute / ExecuteSelectStmtBatched may be called from many
 // threads against one engine (or several engines over one Database).
 // SELECT / EXPLAIN run latch-free under a rel::Snapshot — a pinned
 // committed epoch — fully concurrent with writers; DML / DDL / ANALYZE
@@ -65,31 +65,15 @@ class SqlEngine {
   common::Result<QueryResult> Execute(std::string_view sql) {
     return Execute(common::QueryRequest::Sql(std::string(sql)));
   }
-  [[deprecated("pass a common::QueryRequest instead")]]  //
-  common::Result<QueryResult>
-  Execute(std::string_view sql, const common::QueryOptions& opts) {
-    return Execute(common::QueryRequest::Sql(std::string(sql), opts));
-  }
 
-  // Parses, plans and streams a SELECT's output batches into `sink`
-  // without materializing the result set. Returns the output schema.
-  // Deadline/read-token come from the request; `req.options.deadline_ms`
-  // is resolved to an absolute deadline at entry.
-  common::Result<rel::Schema> ExecuteSelectBatched(
-      const common::QueryRequest& req, const Executor::BatchSink& sink);
-
-  [[deprecated("pass a common::QueryRequest instead")]]  //
-  common::Result<rel::Schema>
-  ExecuteSelectBatched(std::string_view sql, const Executor::BatchSink& sink,
-                       common::Deadline deadline = {});
-
-  // Like ExecuteSelectBatched but from an already-built AST: no lexing or
-  // parsing happens on this path. XomatiQ's direct XQ->plan pipeline uses
-  // this for its translated statements (the generated SQL text is kept
-  // for display only). `deadline` is absolute so a multi-statement caller
-  // shares one budget; `read_epoch` is the same snapshot token as
-  // QueryRequest::read_epoch (XomatiQ runs all disjuncts of one query
-  // against one snapshot).
+  // Plans a pre-parsed SELECT and streams its output batches into `sink`
+  // without materializing the result set. Returns the output schema. No
+  // lexing or parsing happens on this path. XomatiQ's direct XQ->plan
+  // pipeline uses this for its translated statements (the generated SQL
+  // text is rendered for display only). `deadline` is absolute so a
+  // multi-statement caller shares one budget; `read_epoch` is the same
+  // snapshot token as QueryRequest::read_epoch (XomatiQ runs all
+  // disjuncts of one query against one snapshot).
   common::Result<rel::Schema> ExecuteSelectStmtBatched(
       const SelectStmt& stmt, const Executor::BatchSink& sink,
       common::Deadline deadline = {},

@@ -23,7 +23,7 @@ using rel::Value;
 using rel::ValueType;
 
 // ---------------------------------------------------------------------
-// Shared aggregate machinery (both paths).
+// Aggregate machinery.
 // ---------------------------------------------------------------------
 
 namespace {
@@ -72,42 +72,6 @@ Status UpdateAggValue(AggFunc func, const Value* v, AggState* state) {
       break;
   }
   return Status::OK();
-}
-
-Status UpdateAgg(const AggSpec& spec, const Tuple& tuple, AggState* state) {
-  if (spec.arg == nullptr) return UpdateAggValue(spec.func, nullptr, state);
-  XQ_ASSIGN_OR_RETURN(Value v, Eval(*spec.arg, tuple));
-  return UpdateAggValue(spec.func, &v, state);
-}
-
-// Folds a thread-local partial into `dst` (parallel aggregation merge).
-// Counts and sums add, min/max compare, and integer-ness survives only
-// when both sides stayed integral.
-void MergeAggState(AggFunc func, AggState* dst, const AggState& src) {
-  dst->count += src.count;
-  switch (func) {
-    case AggFunc::kCount:
-      break;
-    case AggFunc::kSum:
-    case AggFunc::kAvg:
-      dst->isum += src.isum;
-      dst->dsum += src.dsum;
-      dst->all_int = dst->all_int && src.all_int;
-      dst->has = dst->has || src.has;
-      break;
-    case AggFunc::kMin:
-      if (src.has && (!dst->has || Value::Compare(src.min, dst->min) < 0)) {
-        dst->min = src.min;
-      }
-      dst->has = dst->has || src.has;
-      break;
-    case AggFunc::kMax:
-      if (src.has && (!dst->has || Value::Compare(src.max, dst->max) > 0)) {
-        dst->max = src.max;
-      }
-      dst->has = dst->has || src.has;
-      break;
-  }
 }
 
 Value FinalizeAgg(const AggSpec& spec, const AggState& state) {
@@ -1295,163 +1259,76 @@ Status Executor::ExecLimitB(const PlanNode& plan, const BatchSink& sink) {
 Status Executor::ExecAggregateB(const PlanNode& plan, const BatchSink& sink) {
   // Hash-group accumulator: index for lookup plus keys/states in
   // first-seen order (group output order matches input order).
-  struct GroupAcc {
-    std::unordered_map<CompositeKey, size_t, rel::CompositeKeyHasher,
-                       rel::CompositeKeyEq>
-        index;
-    std::vector<CompositeKey> keys;
-    std::vector<std::vector<AggState>> states;
-  };
+  std::unordered_map<CompositeKey, size_t, rel::CompositeKeyHasher,
+                     rel::CompositeKeyEq>
+      index;
+  std::vector<CompositeKey> keys;
+  std::vector<std::vector<AggState>> states;
   std::vector<int> group_slots = SingleSlots(plan.group_progs);
   std::vector<int> arg_slots;
   arg_slots.reserve(plan.agg_arg_progs.size());
   for (const auto& prog : plan.agg_arg_progs) {
     arg_slots.push_back(prog.has_value() ? prog->single_slot() : -1);
   }
-  // One row folded into `acc` — the streaming-serial path and each
-  // parallel worker's thread-local partial share this.
-  auto accumulate = [&](const Tuple& tuple, GroupAcc* acc,
-                        EvalScratch* scratch) -> Status {
+  EvalScratch scratch;
+  auto accumulate = [&](const Tuple& tuple) -> Status {
     CompositeKey key;
     for (size_t j = 0; j < plan.group_progs.size(); ++j) {
       XQ_ASSIGN_OR_RETURN(
           const Value* v,
-          EvalKey(plan.group_progs[j], group_slots[j], tuple, scratch));
+          EvalKey(plan.group_progs[j], group_slots[j], tuple, &scratch));
       key.push_back(*v);
     }
     size_t slot;
-    auto it = acc->index.find(key);
-    if (it == acc->index.end()) {
-      slot = acc->keys.size();
-      acc->index.emplace(key, slot);
-      acc->keys.push_back(std::move(key));
-      acc->states.emplace_back(plan.aggs.size());
+    auto it = index.find(key);
+    if (it == index.end()) {
+      slot = keys.size();
+      index.emplace(key, slot);
+      keys.push_back(std::move(key));
+      states.emplace_back(plan.aggs.size());
     } else {
       slot = it->second;
     }
     for (size_t a = 0; a < plan.aggs.size(); ++a) {
       if (!plan.agg_arg_progs[a].has_value()) {
         XQ_RETURN_IF_ERROR(
-            UpdateAggValue(plan.aggs[a].func, nullptr, &acc->states[slot][a]));
+            UpdateAggValue(plan.aggs[a].func, nullptr, &states[slot][a]));
       } else {
         XQ_ASSIGN_OR_RETURN(
             const Value* v,
-            EvalKey(*plan.agg_arg_progs[a], arg_slots[a], tuple, scratch));
+            EvalKey(*plan.agg_arg_progs[a], arg_slots[a], tuple, &scratch));
         XQ_RETURN_IF_ERROR(
-            UpdateAggValue(plan.aggs[a].func, v, &acc->states[slot][a]));
+            UpdateAggValue(plan.aggs[a].func, v, &states[slot][a]));
       }
     }
     return Status::OK();
   };
 
-  GroupAcc total;
-  const bool pool_wide =
-      plan.parallel_degree >= 2 &&
-      Pool()->AdmitDegree(static_cast<size_t>(plan.parallel_degree)) >= 2;
-  if (!pool_wide) {
-    EvalScratch scratch;
-    Status inner_status;
-    XQ_RETURN_IF_ERROR(ExecB(
-        *plan.children[0],
-        [&](RowBatch& batch) {
-          for (size_t r = 0; r < batch.size(); ++r) {
-            Status s = accumulate(batch.row(r), &total, &scratch);
-            if (!s.ok()) {
-              inner_status = s;
-              return false;
-            }
-          }
-          return true;
-        },
-        /*budget=*/-1));
-    XQ_RETURN_IF_ERROR(inner_status);
-  } else {
-    XQ_ASSIGN_OR_RETURN(std::vector<Tuple> input,
-                        ExecuteToVector(*plan.children[0]));
-    const size_t degree = EffectiveDegree(plan, input.size());
-    if (degree < 2) {
-      EvalScratch scratch;
-      for (const Tuple& tuple : input) {
-        if (DeadlineHit()) return DeadlineStatus();
-        XQ_RETURN_IF_ERROR(accumulate(tuple, &total, &scratch));
-      }
-    } else {
-      // Parallel aggregation: workers fold stolen morsels into per-morsel
-      // partials; the driver merges partials in morsel order. A group's
-      // first appearance in the merge is (earliest morsel, earliest row
-      // within it) = its earliest input row, so group output order is
-      // identical to the serial scan. Integer aggregates merge exactly;
-      // double sums are deterministic for a fixed morsel geometry but may
-      // differ from serial in the last ulp (association order changes).
-      const size_t n = input.size();
-      exec::MorselQueue mq(n, MorselSpan(n, degree, options_.morsel_rows));
-      std::vector<GroupAcc> partials(mq.num_morsels());
-      std::vector<Status> worker_status(degree);
-      std::vector<uint64_t> worker_rows(degree, 0);
-      std::vector<uint64_t> worker_morsels(degree, 0);
-      const common::Deadline deadline = options_.deadline;
-      Pool()->ParallelFor(degree, [&](size_t w) {
-        EvalScratch scratch;
-        uint64_t probe_ticks = 0;
-        size_t mi, first, last;
-        while (worker_status[w].ok() && mq.Next(&mi, &first, &last)) {
-          GroupAcc acc;
-          for (size_t i = first; i < last; ++i) {
-            if (deadline.set() && (++probe_ticks & 255) == 0 &&
-                deadline.expired()) {
-              worker_status[w] = Status::Timeout("query deadline exceeded");
-              break;
-            }
-            Status s = accumulate(input[i], &acc, &scratch);
-            if (!s.ok()) {
-              worker_status[w] = s;
-              break;
-            }
-          }
-          if (!worker_status[w].ok()) break;
-          partials[mi] = std::move(acc);
-          worker_rows[w] += last - first;
-          ++worker_morsels[w];
-        }
-      });
-      for (const Status& s : worker_status) {
-        if (!s.ok()) {
-          if (s.code() == common::StatusCode::kTimeout) deadline_hit_ = true;
-          return s;
-        }
-      }
-      if (options_.collect_stats) {
-        plan.stats.partition_rows = worker_rows;
-        for (uint64_t m : worker_morsels) plan.stats.morsels += m;
-      }
-      for (GroupAcc& acc : partials) {
-        for (size_t k = 0; k < acc.keys.size(); ++k) {
-          auto it = total.index.find(acc.keys[k]);
-          if (it == total.index.end()) {
-            size_t slot = total.keys.size();
-            total.index.emplace(acc.keys[k], slot);
-            total.keys.push_back(std::move(acc.keys[k]));
-            total.states.push_back(std::move(acc.states[k]));
-            continue;
-          }
-          for (size_t a = 0; a < plan.aggs.size(); ++a) {
-            MergeAggState(plan.aggs[a].func, &total.states[it->second][a],
-                          acc.states[k][a]);
+  Status inner_status;
+  XQ_RETURN_IF_ERROR(ExecB(
+      *plan.children[0],
+      [&](RowBatch& batch) {
+        for (size_t r = 0; r < batch.size(); ++r) {
+          Status s = accumulate(batch.row(r));
+          if (!s.ok()) {
+            inner_status = s;
+            return false;
           }
         }
-      }
-    }
-  }
+        return true;
+      },
+      /*budget=*/-1));
+  XQ_RETURN_IF_ERROR(inner_status);
   // Grand aggregate over an empty input still yields one row.
-  if (total.keys.empty() && plan.group_exprs.empty()) {
-    total.keys.emplace_back();
-    total.states.emplace_back(plan.aggs.size());
+  if (keys.empty() && plan.group_exprs.empty()) {
+    keys.emplace_back();
+    states.emplace_back(plan.aggs.size());
   }
   BatchEmitter em(options_.batch_capacity, sink, /*budget=*/-1);
-  for (size_t g = 0; g < total.keys.size(); ++g) {
-    Tuple out = total.keys[g];
+  for (size_t g = 0; g < keys.size(); ++g) {
+    Tuple out = keys[g];
     for (size_t a = 0; a < plan.aggs.size(); ++a) {
-      out.push_back(FinalizeAgg(plan.aggs[a], total.states[g][a]));
+      out.push_back(FinalizeAgg(plan.aggs[a], states[g][a]));
     }
     if (!em.PushOwned(std::move(out))) return Status::OK();
   }
@@ -1549,382 +1426,6 @@ Status Executor::ExecDistinctB(const PlanNode& plan, const BatchSink& sink) {
   }
   em.Flush();
   return Status::OK();
-}
-
-// ---------------------------------------------------------------------
-// Row-at-a-time reference path (pre-batching executor, kept verbatim).
-// ---------------------------------------------------------------------
-
-Status Executor::ExecuteRowAtATime(const PlanNode& plan, const RowSink& sink) {
-  switch (plan.kind) {
-    case PlanKind::kSeqScan:
-    case PlanKind::kParallelSeqScan:  // baseline path stays serial
-      return ExecScanRow(plan, sink);
-    case PlanKind::kIndexScan:
-      return ExecIndexScanRow(plan, sink);
-    case PlanKind::kKeywordScan:
-      return ExecKeywordScanRow(plan, sink);
-    case PlanKind::kFilter:
-      return ExecFilterRow(plan, sink);
-    case PlanKind::kProject:
-      return ExecProjectRow(plan, sink);
-    case PlanKind::kNestedLoopJoin:
-      return ExecNestedLoopJoinRow(plan, sink);
-    case PlanKind::kHashJoin:
-      return ExecHashJoinRow(plan, sink);
-    case PlanKind::kIndexNLJoin:
-      return ExecIndexNLJoinRow(plan, sink);
-    case PlanKind::kSort:
-      return ExecSortRow(plan, sink);
-    case PlanKind::kLimit:
-      return ExecLimitRow(plan, sink);
-    case PlanKind::kAggregate:
-      return ExecAggregateRow(plan, sink);
-    case PlanKind::kDistinct:
-      return ExecDistinctRow(plan, sink);
-  }
-  return Status::Internal("bad plan kind");
-}
-
-Result<std::vector<Tuple>> Executor::CollectRows(const PlanNode& plan) {
-  std::vector<Tuple> rows;
-  XQ_RETURN_IF_ERROR(ExecuteRowAtATime(plan, [&](const Tuple& t) {
-    rows.push_back(t);
-    return true;
-  }));
-  return rows;
-}
-
-Status Executor::ExecScanRow(const PlanNode& plan, const RowSink& sink) {
-  XQ_ASSIGN_OR_RETURN(const rel::Table* table, db_->GetTable(plan.table));
-  table->Scan(options_.snapshot_epoch,
-              [&](RowId, const Tuple& tuple) { return sink(tuple); });
-  return Status::OK();
-}
-
-namespace {
-
-// Emits the tuples visible at `epoch` behind `rows` into `sink`; returns
-// false on stop. Same skip/re-verify semantics as the batched EmitRowIds.
-Result<bool> EmitRows(const rel::Table& table, const std::vector<RowId>& rows,
-                      uint64_t epoch, const RowVerify& verify,
-                      const Executor::RowSink& sink) {
-  for (RowId row : rows) {
-    auto tuple = table.Get(row, epoch);
-    if (!tuple.ok()) {
-      if (tuple.status().code() == common::StatusCode::kNotFound) continue;
-      return tuple.status();
-    }
-    if (verify && !verify(**tuple)) continue;
-    if (!sink(**tuple)) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-Status Executor::ExecIndexScanRow(const PlanNode& plan, const RowSink& sink) {
-  XQ_ASSIGN_OR_RETURN(const rel::Table* table, db_->GetTable(plan.table));
-  const rel::IndexEntry& entry = *plan.index;
-  const uint64_t epoch = options_.snapshot_epoch;
-  std::vector<RowId> matches = CollectIndexMatches(plan, entry);
-  RowVerify verify = plan.eq_key.empty()
-                         ? MakeRangeVerify(entry, plan, epoch)
-                         : MakeEqVerify(entry, plan.eq_key, epoch);
-  XQ_ASSIGN_OR_RETURN(bool more,
-                      EmitRows(*table, matches, epoch, verify, sink));
-  (void)more;
-  return Status::OK();
-}
-
-Status Executor::ExecKeywordScanRow(const PlanNode& plan,
-                                    const RowSink& sink) {
-  XQ_ASSIGN_OR_RETURN(const rel::Table* table, db_->GetTable(plan.table));
-  const rel::IndexEntry& entry = *plan.index;
-  const uint64_t epoch = options_.snapshot_epoch;
-  std::vector<RowId> rows;
-  {
-    std::shared_lock<std::shared_mutex> lock(entry.latch);
-    rows = entry.inverted->LookupAll(plan.keyword);
-  }
-  RowVerify verify = MakeKeywordVerify(entry, plan.keyword, epoch);
-  XQ_ASSIGN_OR_RETURN(bool more, EmitRows(*table, rows, epoch, verify, sink));
-  (void)more;
-  return Status::OK();
-}
-
-Status Executor::ExecFilterRow(const PlanNode& plan, const RowSink& sink) {
-  Status inner_status;
-  XQ_RETURN_IF_ERROR(
-      ExecuteRowAtATime(*plan.children[0], [&](const Tuple& tuple) {
-        auto pass = EvalPredicate(*plan.predicate, tuple);
-        if (!pass.ok()) {
-          inner_status = pass.status();
-          return false;
-        }
-        if (pass->has_value() && **pass) return sink(tuple);
-        return true;
-      }));
-  return inner_status;
-}
-
-Status Executor::ExecProjectRow(const PlanNode& plan, const RowSink& sink) {
-  Status inner_status;
-  XQ_RETURN_IF_ERROR(
-      ExecuteRowAtATime(*plan.children[0], [&](const Tuple& tuple) {
-        Tuple out;
-        out.reserve(plan.project_exprs.size());
-        for (const ExprPtr& e : plan.project_exprs) {
-          auto v = Eval(*e, tuple);
-          if (!v.ok()) {
-            inner_status = v.status();
-            return false;
-          }
-          out.push_back(std::move(*v));
-        }
-        return sink(out);
-      }));
-  return inner_status;
-}
-
-Status Executor::ExecNestedLoopJoinRow(const PlanNode& plan,
-                                       const RowSink& sink) {
-  XQ_ASSIGN_OR_RETURN(std::vector<Tuple> inner,
-                      CollectRows(*plan.children[1]));
-  Status inner_status;
-  XQ_RETURN_IF_ERROR(
-      ExecuteRowAtATime(*plan.children[0], [&](const Tuple& left) {
-        for (const Tuple& right : inner) {
-          Tuple combined = left;
-          combined.insert(combined.end(), right.begin(), right.end());
-          if (plan.predicate) {
-            auto pass = EvalPredicate(*plan.predicate, combined);
-            if (!pass.ok()) {
-              inner_status = pass.status();
-              return false;
-            }
-            if (!pass->has_value() || !**pass) continue;
-          }
-          if (!sink(combined)) return false;
-        }
-        return true;
-      }));
-  return inner_status;
-}
-
-Status Executor::ExecHashJoinRow(const PlanNode& plan, const RowSink& sink) {
-  // Build on the right child.
-  XQ_ASSIGN_OR_RETURN(std::vector<Tuple> build,
-                      CollectRows(*plan.children[1]));
-  std::unordered_map<CompositeKey, std::vector<size_t>,
-                     rel::CompositeKeyHasher, rel::CompositeKeyEq>
-      ht;
-  for (size_t i = 0; i < build.size(); ++i) {
-    CompositeKey key;
-    bool has_null = false;
-    for (const ExprPtr& e : plan.right_keys) {
-      XQ_ASSIGN_OR_RETURN(Value v, Eval(*e, build[i]));
-      if (v.is_null()) {
-        has_null = true;
-        break;
-      }
-      key.push_back(std::move(v));
-    }
-    if (!has_null) ht[std::move(key)].push_back(i);
-  }
-  Status inner_status;
-  XQ_RETURN_IF_ERROR(
-      ExecuteRowAtATime(*plan.children[0], [&](const Tuple& left) {
-        CompositeKey key;
-        for (const ExprPtr& e : plan.left_keys) {
-          auto v = Eval(*e, left);
-          if (!v.ok()) {
-            inner_status = v.status();
-            return false;
-          }
-          if (v->is_null()) return true;  // NULL never joins
-          key.push_back(std::move(*v));
-        }
-        auto it = ht.find(key);
-        if (it == ht.end()) return true;
-        for (size_t i : it->second) {
-          Tuple combined = left;
-          combined.insert(combined.end(), build[i].begin(), build[i].end());
-          if (!sink(combined)) return false;
-        }
-        return true;
-      }));
-  return inner_status;
-}
-
-Status Executor::ExecIndexNLJoinRow(const PlanNode& plan,
-                                    const RowSink& sink) {
-  XQ_ASSIGN_OR_RETURN(const rel::Table* table, db_->GetTable(plan.table));
-  const rel::IndexEntry& entry = *plan.index;
-  const uint64_t epoch = options_.snapshot_epoch;
-  Status inner_status;
-  XQ_RETURN_IF_ERROR(
-      ExecuteRowAtATime(*plan.children[0], [&](const Tuple& outer) {
-        CompositeKey key;
-        for (const ExprPtr& e : plan.outer_key_exprs) {
-          auto v = Eval(*e, outer);
-          if (!v.ok()) {
-            inner_status = v.status();
-            return false;
-          }
-          if (v->is_null()) return true;
-          key.push_back(std::move(*v));
-        }
-        // Coerce the probe key to the indexed column types so INT probes
-        // hit TEXT-typed keys the way the filter comparison would.
-        for (size_t i = 0; i < key.size(); ++i) {
-          ValueType want = table->schema().column(entry.column_indexes[i]).type;
-          if (key[i].type() != want) {
-            auto cast = key[i].CastTo(want);
-            if (cast.ok()) key[i] = std::move(*cast);
-          }
-        }
-        std::vector<RowId> rows;
-        {
-          std::shared_lock<std::shared_mutex> idx_lock(entry.latch);
-          if (entry.def.kind == rel::IndexKind::kHash) {
-            const std::vector<RowId>* found = entry.hash->Lookup(key);
-            if (found != nullptr) rows = *found;
-          } else if (key.size() == entry.def.columns.size()) {
-            rows = entry.btree->Lookup(key);
-          } else {
-            entry.btree->ScanPrefix(
-                key, [&](const CompositeKey&, const std::vector<RowId>& r) {
-                  rows.insert(rows.end(), r.begin(), r.end());
-                  return true;
-                });
-          }
-        }
-        RowVerify verify = MakeEqVerify(entry, key, epoch);
-        for (RowId row : rows) {
-          auto tuple = table->Get(row, epoch);
-          if (!tuple.ok()) {
-            if (tuple.status().code() == common::StatusCode::kNotFound) {
-              continue;  // invisible at the snapshot epoch
-            }
-            inner_status = tuple.status();
-            return false;
-          }
-          if (verify && !verify(**tuple)) continue;
-          Tuple combined = outer;
-          combined.insert(combined.end(), (*tuple)->begin(), (*tuple)->end());
-          if (!sink(combined)) return false;
-        }
-        return true;
-      }));
-  return inner_status;
-}
-
-Status Executor::ExecSortRow(const PlanNode& plan, const RowSink& sink) {
-  XQ_ASSIGN_OR_RETURN(std::vector<Tuple> rows, CollectRows(*plan.children[0]));
-  // Precompute sort keys per row.
-  std::vector<std::pair<CompositeKey, size_t>> keyed;
-  keyed.reserve(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    CompositeKey key;
-    for (const SortKey& sk : plan.sort_keys) {
-      XQ_ASSIGN_OR_RETURN(Value v, Eval(*sk.expr, rows[i]));
-      key.push_back(std::move(v));
-    }
-    keyed.emplace_back(std::move(key), i);
-  }
-  std::stable_sort(keyed.begin(), keyed.end(),
-                   [&](const auto& a, const auto& b) {
-                     for (size_t k = 0; k < plan.sort_keys.size(); ++k) {
-                       int c = Value::Compare(a.first[k], b.first[k]);
-                       if (c != 0) {
-                         return plan.sort_keys[k].desc ? c > 0 : c < 0;
-                       }
-                     }
-                     return false;
-                   });
-  for (const auto& [key, i] : keyed) {
-    if (!sink(rows[i])) return Status::OK();
-  }
-  return Status::OK();
-}
-
-Status Executor::ExecLimitRow(const PlanNode& plan, const RowSink& sink) {
-  int64_t skipped = 0;
-  int64_t emitted = 0;
-  return ExecuteRowAtATime(*plan.children[0], [&](const Tuple& tuple) {
-    if (skipped < plan.offset) {
-      ++skipped;
-      return true;
-    }
-    if (plan.limit >= 0 && emitted >= plan.limit) return false;
-    ++emitted;
-    if (!sink(tuple)) return false;
-    return plan.limit < 0 || emitted < plan.limit;
-  });
-}
-
-Status Executor::ExecAggregateRow(const PlanNode& plan, const RowSink& sink) {
-  std::unordered_map<CompositeKey, size_t, rel::CompositeKeyHasher,
-                     rel::CompositeKeyEq>
-      group_index;
-  std::vector<CompositeKey> group_keys;  // insertion order
-  std::vector<std::vector<AggState>> states;
-  Status inner_status;
-  XQ_RETURN_IF_ERROR(
-      ExecuteRowAtATime(*plan.children[0], [&](const Tuple& tuple) {
-        CompositeKey key;
-        for (const ExprPtr& g : plan.group_exprs) {
-          auto v = Eval(*g, tuple);
-          if (!v.ok()) {
-            inner_status = v.status();
-            return false;
-          }
-          key.push_back(std::move(*v));
-        }
-        size_t slot;
-        auto it = group_index.find(key);
-        if (it == group_index.end()) {
-          slot = group_keys.size();
-          group_index.emplace(key, slot);
-          group_keys.push_back(std::move(key));
-          states.emplace_back(plan.aggs.size());
-        } else {
-          slot = it->second;
-        }
-        for (size_t a = 0; a < plan.aggs.size(); ++a) {
-          Status s = UpdateAgg(plan.aggs[a], tuple, &states[slot][a]);
-          if (!s.ok()) {
-            inner_status = s;
-            return false;
-          }
-        }
-        return true;
-      }));
-  XQ_RETURN_IF_ERROR(inner_status);
-  // Grand aggregate over an empty input still yields one row.
-  if (group_keys.empty() && plan.group_exprs.empty()) {
-    group_keys.emplace_back();
-    states.emplace_back(plan.aggs.size());
-  }
-  for (size_t g = 0; g < group_keys.size(); ++g) {
-    Tuple out = group_keys[g];
-    for (size_t a = 0; a < plan.aggs.size(); ++a) {
-      out.push_back(FinalizeAgg(plan.aggs[a], states[g][a]));
-    }
-    if (!sink(out)) return Status::OK();
-  }
-  return Status::OK();
-}
-
-Status Executor::ExecDistinctRow(const PlanNode& plan, const RowSink& sink) {
-  std::unordered_set<CompositeKey, rel::CompositeKeyHasher,
-                     rel::CompositeKeyEq>
-      seen;
-  return ExecuteRowAtATime(*plan.children[0], [&](const Tuple& tuple) {
-    if (!seen.insert(tuple).second) return true;
-    return sink(tuple);
-  });
 }
 
 }  // namespace xomatiq::sql

@@ -21,8 +21,7 @@ struct ExecutorOptions {
   size_t batch_capacity = rel::RowBatch::kDefaultCapacity;
   // Absolute cancellation point. Checked cooperatively — at operator entry
   // and on a sampled stride inside scan/join loops — so an expired query
-  // stops within ~one batch of work and returns kTimeout. Applies to the
-  // batched pipeline only; the row-at-a-time oracle path ignores it.
+  // stops within ~one batch of work and returns kTimeout.
   common::Deadline deadline;
   // Worker pool parallel operators fan out on; null = the process-wide
   // exec::WorkerPool::Global(). All queries sharing one pool is the
@@ -60,29 +59,22 @@ struct ExecutorOptions {
 // expression programs (CompiledExpr), and a row budget flows down through
 // row-preserving operators so LIMIT over an index path still touches
 // ~limit rows. Blocking operators (sort, hash-join build, aggregate,
-// distinct) materialize internally. The pre-batching row-at-a-time path
-// is retained as a differential oracle and as bench_pipeline's baseline.
+// distinct) materialize internally.
 class Executor {
  public:
   explicit Executor(rel::Database* db, ExecutorOptions options = {})
       : db_(db), options_(options) {}
 
-  using RowSink = std::function<bool(const rel::Tuple&)>;
   // Receives each output batch; may narrow its selection in place but must
   // not keep references past the call. Returns false to stop early.
   using BatchSink = std::function<bool(rel::RowBatch&)>;
 
-  // Streams the plan's output batches into `sink` (primary path).
+  // Streams the plan's output batches into `sink`.
   common::Status ExecuteBatched(const PlanNode& plan, const BatchSink& sink);
 
   // Convenience: materializes all output rows (batched underneath).
   common::Result<std::vector<rel::Tuple>> ExecuteToVector(
       const PlanNode& plan);
-
-  // Reference tuple-at-a-time executor: rows cross a per-row sink and
-  // expressions are evaluated by walking the AST. Kept for differential
-  // testing and as the baseline bench_pipeline measures against.
-  common::Status ExecuteRowAtATime(const PlanNode& plan, const RowSink& sink);
 
  private:
   // --- batched pipeline; `budget` = max rows the consumer accepts
@@ -124,25 +116,6 @@ class Executor {
   common::Status ExecLimitB(const PlanNode& plan, const BatchSink& sink);
   common::Status ExecAggregateB(const PlanNode& plan, const BatchSink& sink);
   common::Status ExecDistinctB(const PlanNode& plan, const BatchSink& sink);
-
-  // --- row-at-a-time reference path ---
-  common::Status ExecScanRow(const PlanNode& plan, const RowSink& sink);
-  common::Status ExecIndexScanRow(const PlanNode& plan, const RowSink& sink);
-  common::Status ExecKeywordScanRow(const PlanNode& plan,
-                                    const RowSink& sink);
-  common::Status ExecFilterRow(const PlanNode& plan, const RowSink& sink);
-  common::Status ExecProjectRow(const PlanNode& plan, const RowSink& sink);
-  common::Status ExecNestedLoopJoinRow(const PlanNode& plan,
-                                       const RowSink& sink);
-  common::Status ExecHashJoinRow(const PlanNode& plan, const RowSink& sink);
-  common::Status ExecIndexNLJoinRow(const PlanNode& plan,
-                                    const RowSink& sink);
-  common::Status ExecSortRow(const PlanNode& plan, const RowSink& sink);
-  common::Status ExecLimitRow(const PlanNode& plan, const RowSink& sink);
-  common::Status ExecAggregateRow(const PlanNode& plan, const RowSink& sink);
-  common::Status ExecDistinctRow(const PlanNode& plan, const RowSink& sink);
-
-  common::Result<std::vector<rel::Tuple>> CollectRows(const PlanNode& plan);
 
   // The pool this executor fans out on (options_.pool or the global one).
   exec::WorkerPool* Pool() const;

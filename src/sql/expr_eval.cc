@@ -1,6 +1,5 @@
 #include "sql/expr_eval.h"
 
-#include <cctype>
 #include <cmath>
 
 #include "common/string_util.h"
@@ -180,138 +179,6 @@ bool MatchContains(std::string_view text, std::string_view keywords) {
     if (!found) return false;
   }
   return true;
-}
-
-Result<Value> Eval(const Expr& e, const rel::Tuple& tuple) {
-  switch (e.kind) {
-    case ExprKind::kLiteral:
-      return e.value;
-    case ExprKind::kColumnRef: {
-      if (e.bound_index < 0 ||
-          static_cast<size_t>(e.bound_index) >= tuple.size()) {
-        return Status::Internal("unbound column " + e.column_name);
-      }
-      return tuple[static_cast<size_t>(e.bound_index)];
-    }
-    case ExprKind::kBinary: {
-      if (e.bin_op == BinaryOp::kAnd || e.bin_op == BinaryOp::kOr) {
-        XQ_ASSIGN_OR_RETURN(Value lv, Eval(*e.left, tuple));
-        std::optional<bool> l = Truthiness(lv);
-        // Short-circuit per three-valued logic.
-        if (e.bin_op == BinaryOp::kAnd && l.has_value() && !*l) {
-          return BoolValue(false);
-        }
-        if (e.bin_op == BinaryOp::kOr && l.has_value() && *l) {
-          return BoolValue(true);
-        }
-        XQ_ASSIGN_OR_RETURN(Value rv, Eval(*e.right, tuple));
-        std::optional<bool> r = Truthiness(rv);
-        if (e.bin_op == BinaryOp::kAnd) {
-          if (r.has_value() && !*r) return BoolValue(false);
-          if (l.has_value() && r.has_value()) return BoolValue(*l && *r);
-          return Value::Null();
-        }
-        if (r.has_value() && *r) return BoolValue(true);
-        if (l.has_value() && r.has_value()) return BoolValue(*l || *r);
-        return Value::Null();
-      }
-      XQ_ASSIGN_OR_RETURN(Value l, Eval(*e.left, tuple));
-      XQ_ASSIGN_OR_RETURN(Value r, Eval(*e.right, tuple));
-      switch (e.bin_op) {
-        case BinaryOp::kEq:
-        case BinaryOp::kNe:
-        case BinaryOp::kLt:
-        case BinaryOp::kLe:
-        case BinaryOp::kGt:
-        case BinaryOp::kGe:
-          return EvalComparison(e.bin_op, l, r);
-        default:
-          return EvalArithmetic(e.bin_op, l, r);
-      }
-    }
-    case ExprKind::kUnary: {
-      XQ_ASSIGN_OR_RETURN(Value v, Eval(*e.left, tuple));
-      if (e.un_op == UnaryOp::kNot) {
-        std::optional<bool> b = Truthiness(v);
-        if (!b.has_value()) return Value::Null();
-        return BoolValue(!*b);
-      }
-      if (v.is_null()) return Value::Null();
-      if (v.type() == ValueType::kInt) return Value::Int(-v.AsInt());
-      XQ_ASSIGN_OR_RETURN(double d, v.ToNumeric());
-      return Value::Double(-d);
-    }
-    case ExprKind::kIsNull: {
-      XQ_ASSIGN_OR_RETURN(Value v, Eval(*e.left, tuple));
-      return BoolValue(v.is_null() != e.negated);
-    }
-    case ExprKind::kLike: {
-      XQ_ASSIGN_OR_RETURN(Value text, Eval(*e.left, tuple));
-      XQ_ASSIGN_OR_RETURN(Value pattern, Eval(*e.right, tuple));
-      if (text.is_null() || pattern.is_null()) return Value::Null();
-      bool m = MatchLike(text.ToString(), pattern.ToString());
-      return BoolValue(m != e.negated);
-    }
-    case ExprKind::kContains: {
-      XQ_ASSIGN_OR_RETURN(Value text, Eval(*e.left, tuple));
-      XQ_ASSIGN_OR_RETURN(Value kw, Eval(*e.right, tuple));
-      if (text.is_null() || kw.is_null()) return Value::Null();
-      return BoolValue(MatchContains(text.ToString(), kw.ToString()));
-    }
-    case ExprKind::kBetween: {
-      XQ_ASSIGN_OR_RETURN(Value v, Eval(*e.left, tuple));
-      XQ_ASSIGN_OR_RETURN(Value lo, Eval(*e.right, tuple));
-      XQ_ASSIGN_OR_RETURN(Value hi, Eval(*e.extra, tuple));
-      if (v.is_null() || lo.is_null() || hi.is_null()) return Value::Null();
-      bool in = Value::Compare(v, lo) >= 0 && Value::Compare(v, hi) <= 0;
-      return BoolValue(in != e.negated);
-    }
-    case ExprKind::kInList: {
-      XQ_ASSIGN_OR_RETURN(Value v, Eval(*e.left, tuple));
-      if (v.is_null()) return Value::Null();
-      bool saw_null = false;
-      for (const ExprPtr& item : e.list) {
-        XQ_ASSIGN_OR_RETURN(Value iv, Eval(*item, tuple));
-        if (iv.is_null()) {
-          saw_null = true;
-          continue;
-        }
-        if (Value::Compare(v, iv) == 0) return BoolValue(!e.negated);
-      }
-      if (saw_null) return Value::Null();
-      return BoolValue(e.negated);
-    }
-    case ExprKind::kFunc: {
-      XQ_ASSIGN_OR_RETURN(Value v, Eval(*e.left, tuple));
-      if (v.is_null()) return Value::Null();
-      switch (e.func) {
-        case ScalarFunc::kLower:
-          return Value::Text(common::AsciiToLower(v.ToString()));
-        case ScalarFunc::kUpper: {
-          std::string s = v.ToString();
-          for (char& c : s) {
-            c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-          }
-          return Value::Text(std::move(s));
-        }
-        case ScalarFunc::kLength:
-          return Value::Int(static_cast<int64_t>(v.ToString().size()));
-      }
-      return Status::Internal("bad scalar func");
-    }
-    case ExprKind::kAggregate:
-      return Status::Internal(
-          "aggregate evaluated outside Aggregate operator: " + e.ToString());
-    case ExprKind::kStar:
-      return Status::Internal("bare * evaluated");
-  }
-  return Status::Internal("bad expr kind");
-}
-
-Result<std::optional<bool>> EvalPredicate(const Expr& e,
-                                          const rel::Tuple& tuple) {
-  XQ_ASSIGN_OR_RETURN(Value v, Eval(e, tuple));
-  return Truthiness(v);
 }
 
 rel::ValueType InferType(const Expr& e, const rel::Schema& schema) {

@@ -14,16 +14,8 @@ namespace xomatiq::sql {
 common::Status Bind(Expr* e, const rel::Schema& schema,
                     bool allow_aggregates = false);
 
-// Evaluates a bound expression against `tuple`. Booleans are INT 0/1;
-// SQL three-valued logic propagates NULL.
-common::Result<rel::Value> Eval(const Expr& e, const rel::Tuple& tuple);
-
-// Evaluates `e` as a predicate: NULL -> nullopt, otherwise truthiness.
-common::Result<std::optional<bool>> EvalPredicate(const Expr& e,
-                                                  const rel::Tuple& tuple);
-
-// NULL-aware truthiness of a value; NULL -> nullopt. Shared between the
-// tree walker and the compiled-expression interpreter.
+// NULL-aware truthiness of a value; NULL -> nullopt. Booleans are INT
+// 0/1.
 std::optional<bool> Truthiness(const rel::Value& v);
 
 // Scalar binary evaluation (comparison, arithmetic, concat) with SQL NULL

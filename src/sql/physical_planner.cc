@@ -754,7 +754,8 @@ Result<PlanPtr> CostBasedPlanner::Lower(const LogicalOp& op) {
         }
         node->aggs.push_back(std::move(copy));
       }
-      cost += PriceMaybeParallel(cm, options_, in_rows, 0.0, node.get());
+      // Always serial: merging per-morsel partials lost to the serial fold.
+      cost += in_rows;
       out_rows = op.group_exprs.empty() ? 1.0 : std::max(1.0, in_rows * 0.1);
       break;
     }

@@ -162,9 +162,9 @@ std::string PlanNode::ToString(int indent, bool analyze) const {
   }
   // Parallel-annotated pipeline breakers advertise their planned degree
   // (ParallelSeqScan prints it inline above).
-  if (parallel_degree >= 2 && kind != PlanKind::kParallelSeqScan &&
+  if (parallel_degree >= 2 &&
       (kind == PlanKind::kHashJoin || kind == PlanKind::kSort ||
-       kind == PlanKind::kAggregate || kind == PlanKind::kDistinct)) {
+       kind == PlanKind::kDistinct)) {
     out += " workers=" + std::to_string(parallel_degree);
   }
   if (est_rows >= 0) {

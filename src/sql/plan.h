@@ -128,9 +128,8 @@ struct PlanNode {
   double est_cost = -1;
 
   // Slot-bound expression programs compiled from the fields above by
-  // CompilePlanPrograms (planner.cc); the executor's batched pipeline
-  // evaluates these instead of re-walking the AST per row. The ExprPtr
-  // originals are kept for EXPLAIN and the row-at-a-time baseline.
+  // CompilePlanPrograms (planner.cc); the executor evaluates these. The
+  // ExprPtr originals are kept for EXPLAIN.
   std::optional<CompiledExpr> predicate_prog;
   std::vector<CompiledExpr> project_progs;
   std::vector<CompiledExpr> left_key_progs;

@@ -101,7 +101,8 @@ uint64_t LargestBaseInput(const PlanNode& node, const rel::Database* db) {
 // Rule-based per-operator DOP: pipeline breakers fed by a big base input
 // get a parallel degree; small inputs stay serial. The annotation is
 // permission, not obligation — the executor re-checks actual row counts
-// and pool width at run time before fanning out.
+// and pool width at run time before fanning out. Aggregates always stream
+// serially: merging per-morsel partials lost to the serial fold.
 void AnnotateParallelOps(PlanNode* node, const rel::Database* db,
                          const PlannerOptions& options) {
   for (const PlanPtr& child : node->children) {
@@ -110,7 +111,6 @@ void AnnotateParallelOps(PlanNode* node, const rel::Database* db,
   switch (node->kind) {
     case PlanKind::kHashJoin:
     case PlanKind::kSort:
-    case PlanKind::kAggregate:
     case PlanKind::kDistinct:
       break;
     default:

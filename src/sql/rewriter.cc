@@ -1,6 +1,6 @@
 #include "sql/rewriter.h"
 
-#include "sql/expr_eval.h"
+#include "sql/compiled_expr.h"
 
 namespace xomatiq::sql {
 
@@ -65,12 +65,14 @@ bool IsLiteral(const ExprPtr& e) {
 
 }  // namespace
 
-ExprPtr FoldConstants(ExprPtr e) {
+namespace {
+
+ExprPtr Fold(ExprPtr e, EvalScratch* scratch) {
   if (e == nullptr) return e;
-  if (e->left) e->left = FoldConstants(std::move(e->left));
-  if (e->right) e->right = FoldConstants(std::move(e->right));
-  if (e->extra) e->extra = FoldConstants(std::move(e->extra));
-  for (ExprPtr& item : e->list) item = FoldConstants(std::move(item));
+  if (e->left) e->left = Fold(std::move(e->left), scratch);
+  if (e->right) e->right = Fold(std::move(e->right), scratch);
+  if (e->extra) e->extra = Fold(std::move(e->extra), scratch);
+  for (ExprPtr& item : e->list) item = Fold(std::move(item), scratch);
 
   bool foldable = false;
   switch (e->kind) {
@@ -89,9 +91,18 @@ ExprPtr FoldConstants(ExprPtr e) {
       break;
   }
   if (!foldable) return e;
-  auto v = Eval(*e, {});
+  auto prog = CompiledExpr::Compile(*e);
+  if (!prog.ok()) return e;
+  auto v = prog->EvalRow({}, scratch);
   if (!v.ok()) return e;  // fold errors surface at execution time instead
   return MakeLiteral(std::move(*v));
+}
+
+}  // namespace
+
+ExprPtr FoldConstants(ExprPtr e) {
+  EvalScratch scratch;
+  return Fold(std::move(e), &scratch);
 }
 
 void ClassifyPredicate(const Expr& e, size_t conjunct_index,

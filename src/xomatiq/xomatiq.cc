@@ -96,8 +96,7 @@ Result<XqResult> XomatiQ::Execute(const common::QueryRequest& req) {
   // Union the disjunct statements with set semantics, preserving the
   // first-seen order. Each statement streams its batches straight into
   // the result; no per-statement materialization. Statements run from
-  // their structured ASTs when the translator produced them (the normal
-  // case) — the generated SQL text is never re-lexed or re-parsed here.
+  // their structured ASTs — the rendered SQL text is never parsed here.
   std::set<rel::CompositeKey, rel::CompositeKeyLess> seen;
   const sql::Executor::BatchSink sink = [&](rel::RowBatch& batch) {
     for (size_t i = 0; i < batch.size(); ++i) {
@@ -107,20 +106,10 @@ Result<XqResult> XomatiQ::Execute(const common::QueryRequest& req) {
     }
     return true;
   };
-  for (size_t s = 0; s < translation.sql.size(); ++s) {
-    if (s < translation.stmts.size() && translation.stmts[s] != nullptr) {
-      XQ_RETURN_IF_ERROR(engine_
-                             .ExecuteSelectStmtBatched(*translation.stmts[s],
-                                                       sink, deadline, epoch)
-                             .status());
-    } else {
-      // Text fallback (translator produced SQL without an AST): parse via
-      // the engine, still at this query's epoch.
-      common::QueryRequest sub = common::QueryRequest::Sql(translation.sql[s]);
-      sub.options = req.options;
-      sub.read_epoch = epoch;
-      XQ_RETURN_IF_ERROR(engine_.ExecuteSelectBatched(sub, sink).status());
-    }
+  for (const auto& stmt : translation.stmts) {
+    XQ_RETURN_IF_ERROR(
+        engine_.ExecuteSelectStmtBatched(*stmt, sink, deadline, epoch)
+            .status());
   }
   return result;
 }
@@ -128,16 +117,9 @@ Result<XqResult> XomatiQ::Execute(const common::QueryRequest& req) {
 Result<std::string> XomatiQ::Explain(std::string_view query_text) {
   XQ_ASSIGN_OR_RETURN(Translation translation, Translate(query_text));
   std::string out;
-  for (size_t s = 0; s < translation.sql.size(); ++s) {
-    std::string plan_text;
-    if (s < translation.stmts.size() && translation.stmts[s] != nullptr) {
-      XQ_ASSIGN_OR_RETURN(plan_text,
-                          engine_.ExplainSelectStmt(*translation.stmts[s]));
-    } else {
-      XQ_ASSIGN_OR_RETURN(sql::QueryResult qr,
-                          engine_.Execute("EXPLAIN " + translation.sql[s]));
-      plan_text = qr.explain_text;
-    }
+  for (size_t s = 0; s < translation.stmts.size(); ++s) {
+    XQ_ASSIGN_OR_RETURN(std::string plan_text,
+                        engine_.ExplainSelectStmt(*translation.stmts[s]));
     out += translation.sql[s] + "\n" + plan_text + "\n";
   }
   return out;

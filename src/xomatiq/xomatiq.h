@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "common/query_options.h"
 #include "common/query_request.h"
 #include "common/result.h"
 #include "datahounds/warehouse.h"
@@ -57,11 +56,6 @@ class XomatiQ {
   // Shorthand for embedded/test use: Execute with default options.
   common::Result<XqResult> Execute(std::string_view query_text) {
     return Execute(common::QueryRequest::Xq(std::string(query_text)));
-  }
-  [[deprecated("pass a common::QueryRequest instead")]]  //
-  common::Result<XqResult>
-  Execute(std::string_view query_text, const common::QueryOptions& opts) {
-    return Execute(common::QueryRequest::Xq(std::string(query_text), opts));
   }
 
   // Translation only (inspect the generated SQL).

@@ -60,26 +60,10 @@ std::vector<int64_t> ResolvePattern(const std::vector<PathEntry>& dict,
   return ids;
 }
 
-std::string SqlQuote(const std::string& text) {
-  std::string out = "'";
-  for (char c : text) {
-    if (c == '\'') out += "''";
-    else out.push_back(c);
-  }
-  out += "'";
-  return out;
-}
-
-std::string LiteralSql(const Value& v) {
-  if (v.type() == ValueType::kText) return SqlQuote(v.AsText());
-  return v.ToString();
-}
-
-// --- structured-statement helpers -----------------------------------------
+// --- statement helpers -----------------------------------------------------
 //
-// Every WHERE conjunct the translator emits as text is also built as a
-// sql::Expr, so the final statement can be handed to the engine as an AST
-// (no re-parse of the generated SQL on the execute path).
+// The translator builds each statement as a sql::SelectStmt, which the
+// engine executes directly; RenderSql derives the display text from it.
 
 sql::ExprPtr Col(const std::string& alias, const char* column) {
   return sql::MakeColumnRef(alias + "." + column);
@@ -173,15 +157,10 @@ class StatementBuilder {
   StatementBuilder(const std::vector<PathEntry>& dict) : dict_(dict) {}
 
   void AddFrom(const std::string& table, const std::string& alias) {
-    from_.push_back(table + " " + alias);
-    from_refs_.push_back({table, alias});
+    from_.push_back({table, alias});
   }
-  // Records one WHERE conjunct in both renderings: `cond` is the SQL text
-  // (display), `expr` the equivalent AST fragment (execution).
-  void AddWhere(std::string cond, sql::ExprPtr expr) {
-    where_.push_back(std::move(cond));
-    where_exprs_.push_back(std::move(expr));
-  }
+  // Records one top-level WHERE conjunct.
+  void AddWhere(sql::ExprPtr expr) { where_.push_back(std::move(expr)); }
 
   std::string NewAlias(const char* prefix) {
     return std::string(prefix) + std::to_string(counter_++);
@@ -203,11 +182,7 @@ class StatementBuilder {
     return it == vars_.end() ? nullptr : &it->second;
   }
 
-  std::string Build(const std::vector<std::string>& select_items,
-                    const std::string& order_by) const;
-
-  // Structured counterpart of Build(): moves the accumulated FROM/WHERE
-  // state into a SelectStmt. Call once, after Build().
+  // Moves the accumulated FROM/WHERE state into a SelectStmt. Call once.
   sql::SelectStmt BuildStmt(std::vector<sql::SelectItem> items,
                             const std::string& order_by);
 
@@ -223,10 +198,8 @@ class StatementBuilder {
                         const std::vector<XqPredicate>& predicates);
 
   const std::vector<PathEntry>& dict_;
-  std::vector<std::string> from_;
-  std::vector<std::string> where_;
-  std::vector<sql::TableRef> from_refs_;
-  std::vector<sql::ExprPtr> where_exprs_;
+  std::vector<sql::TableRef> from_;
+  std::vector<sql::ExprPtr> where_;
   std::map<std::string, VarInfo> vars_;
   int counter_ = 0;
 };
@@ -237,42 +210,31 @@ void StatementBuilder::AddPathConstraint(const std::string& alias,
   if (ids.empty()) {
     // No stored path matches: the statement returns no rows. Emit an
     // always-false constraint so the SQL stays valid.
-    AddWhere(alias + ".path_id = -1",
-             sql::MakeBinary(sql::BinaryOp::kEq, Col(alias, "path_id"),
+    AddWhere(sql::MakeBinary(sql::BinaryOp::kEq, Col(alias, "path_id"),
                              IntLit(-1)));
     return;
   }
   if (ids.size() == 1) {
-    AddWhere(alias + ".path_id = " + std::to_string(ids[0]),
-             sql::MakeBinary(sql::BinaryOp::kEq, Col(alias, "path_id"),
+    AddWhere(sql::MakeBinary(sql::BinaryOp::kEq, Col(alias, "path_id"),
                              IntLit(ids[0])));
     return;
   }
-  std::string in = alias + ".path_id IN (";
   auto in_expr = std::make_unique<sql::Expr>();
   in_expr->kind = sql::ExprKind::kInList;
   in_expr->left = Col(alias, "path_id");
-  for (size_t i = 0; i < ids.size(); ++i) {
-    if (i > 0) in += ", ";
-    in += std::to_string(ids[i]);
-    in_expr->list.push_back(IntLit(ids[i]));
-  }
-  AddWhere(in + ")", std::move(in_expr));
+  for (int64_t id : ids) in_expr->list.push_back(IntLit(id));
+  AddWhere(std::move(in_expr));
 }
 
 void StatementBuilder::AddContainment(const std::string& alias,
                                       const std::string& anchor,
                                       bool include_self) {
-  AddWhere(alias + ".doc_id = " + anchor + ".doc_id",
-           sql::MakeBinary(sql::BinaryOp::kEq, Col(alias, "doc_id"),
+  AddWhere(sql::MakeBinary(sql::BinaryOp::kEq, Col(alias, "doc_id"),
                            Col(anchor, "doc_id")));
-  AddWhere(alias + ".ordinal >" + (include_self ? "=" : "") + " " + anchor +
-               ".ordinal",
-           sql::MakeBinary(
-               include_self ? sql::BinaryOp::kGe : sql::BinaryOp::kGt,
-               Col(alias, "ordinal"), Col(anchor, "ordinal")));
-  AddWhere(alias + ".ordinal <= " + anchor + ".end_ordinal",
-           sql::MakeBinary(sql::BinaryOp::kLe, Col(alias, "ordinal"),
+  AddWhere(sql::MakeBinary(
+      include_self ? sql::BinaryOp::kGe : sql::BinaryOp::kGt,
+      Col(alias, "ordinal"), Col(anchor, "ordinal")));
+  AddWhere(sql::MakeBinary(sql::BinaryOp::kLe, Col(alias, "ordinal"),
                            Col(anchor, "end_ordinal")));
 }
 
@@ -312,15 +274,12 @@ Status StatementBuilder::AddBinding(const XqBinding& binding) {
   info.binding_steps = binding.steps;
   AddFrom(hounds::kDocumentTable, info.doc_alias);
   AddFrom(hounds::kNodeTable, info.node_alias);
-  AddWhere(info.doc_alias + ".collection = " + SqlQuote(binding.collection),
-           sql::MakeBinary(sql::BinaryOp::kEq, Col(info.doc_alias, "collection"),
+  AddWhere(sql::MakeBinary(sql::BinaryOp::kEq,
+                           Col(info.doc_alias, "collection"),
                            sql::MakeLiteral(Value::Text(binding.collection))));
-  AddWhere(info.node_alias + ".doc_id = " + info.doc_alias + ".doc_id",
-           sql::MakeBinary(sql::BinaryOp::kEq, Col(info.node_alias, "doc_id"),
+  AddWhere(sql::MakeBinary(sql::BinaryOp::kEq, Col(info.node_alias, "doc_id"),
                            Col(info.doc_alias, "doc_id")));
-  AddWhere(info.node_alias + ".kind = " +
-               std::to_string(hounds::kKindElement),
-           sql::MakeBinary(sql::BinaryOp::kEq, Col(info.node_alias, "kind"),
+  AddWhere(sql::MakeBinary(sql::BinaryOp::kEq, Col(info.node_alias, "kind"),
                            IntLit(hounds::kKindElement)));
   AddPathConstraint(info.node_alias, binding.steps);
   XQ_RETURN_IF_ERROR(EmitPredicates(
@@ -336,8 +295,7 @@ Status StatementBuilder::EmitPredicates(
     const std::vector<XqPredicate>& predicates) {
   for (const XqPredicate& pred : predicates) {
     if (pred.is_position) {
-      AddWhere(node_alias + ".name_pos = " + std::to_string(pred.position),
-               sql::MakeBinary(sql::BinaryOp::kEq, Col(node_alias, "name_pos"),
+      AddWhere(sql::MakeBinary(sql::BinaryOp::kEq, Col(node_alias, "name_pos"),
                                IntLit(pred.position)));
       continue;
     }
@@ -354,9 +312,7 @@ Status StatementBuilder::EmitPredicates(
       numeric = true;  // numeric equality compares typed values
     }
     std::string value_alias = EmitValueAlias(pred_alias, numeric);
-    AddWhere(value_alias + ".value " + pred.op + " " +
-                 LiteralSql(pred.literal),
-             sql::MakeBinary(CmpOp(pred.op), Col(value_alias, "value"),
+    AddWhere(sql::MakeBinary(CmpOp(pred.op), Col(value_alias, "value"),
                              sql::MakeLiteral(pred.literal)));
   }
   return Status::OK();
@@ -392,34 +348,9 @@ std::string StatementBuilder::EmitValueAlias(const std::string& node_alias,
                                              bool numeric) {
   std::string alias = NewAlias(numeric ? "num" : "txt");
   AddFrom(numeric ? hounds::kNumberTable : hounds::kTextTable, alias);
-  AddWhere(alias + ".node_id = " + node_alias + ".node_id",
-           sql::MakeBinary(sql::BinaryOp::kEq, Col(alias, "node_id"),
+  AddWhere(sql::MakeBinary(sql::BinaryOp::kEq, Col(alias, "node_id"),
                            Col(node_alias, "node_id")));
   return alias;
-}
-
-std::string StatementBuilder::Build(
-    const std::vector<std::string>& select_items,
-    const std::string& order_by) const {
-  std::string sql = "SELECT DISTINCT ";
-  for (size_t i = 0; i < select_items.size(); ++i) {
-    if (i > 0) sql += ", ";
-    sql += select_items[i];
-  }
-  sql += " FROM ";
-  for (size_t i = 0; i < from_.size(); ++i) {
-    if (i > 0) sql += ", ";
-    sql += from_[i];
-  }
-  if (!where_.empty()) {
-    sql += " WHERE ";
-    for (size_t i = 0; i < where_.size(); ++i) {
-      if (i > 0) sql += " AND ";
-      sql += where_[i];
-    }
-  }
-  if (!order_by.empty()) sql += " ORDER BY " + order_by;
-  return sql;
 }
 
 sql::SelectStmt StatementBuilder::BuildStmt(
@@ -427,16 +358,16 @@ sql::SelectStmt StatementBuilder::BuildStmt(
   sql::SelectStmt stmt;
   stmt.distinct = true;
   stmt.items = std::move(items);
-  stmt.from = from_refs_;
-  // Left-associative AND fold, matching how the SQL parser would bracket
-  // the rendered conjunction.
-  for (sql::ExprPtr& e : where_exprs_) {
+  stmt.from = std::move(from_);
+  // Left-associative AND fold, matching how the SQL parser brackets the
+  // rendered conjunction.
+  for (sql::ExprPtr& e : where_) {
     stmt.where = stmt.where == nullptr
                      ? std::move(e)
                      : sql::MakeBinary(sql::BinaryOp::kAnd,
                                        std::move(stmt.where), std::move(e));
   }
-  where_exprs_.clear();
+  where_.clear();
   if (!order_by.empty()) {
     sql::OrderItem item;
     item.expr = sql::MakeColumnRef(order_by);
@@ -445,7 +376,40 @@ sql::SelectStmt StatementBuilder::BuildStmt(
   return stmt;
 }
 
+// Appends the conjuncts of a left-deep AND chain, joined by " AND ".
+void AppendConjuncts(const sql::Expr& e, std::string* out) {
+  if (e.kind == sql::ExprKind::kBinary && e.bin_op == sql::BinaryOp::kAnd) {
+    AppendConjuncts(*e.left, out);
+    *out += " AND ";
+    AppendConjuncts(*e.right, out);
+    return;
+  }
+  *out += e.ToString();
+}
+
 }  // namespace
+
+std::string RenderSql(const sql::SelectStmt& stmt) {
+  std::string out = stmt.distinct ? "SELECT DISTINCT " : "SELECT ";
+  for (size_t i = 0; i < stmt.items.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += stmt.items[i].expr->ToString() + " AS " + stmt.items[i].alias;
+  }
+  out += " FROM ";
+  for (size_t i = 0; i < stmt.from.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += stmt.from[i].table + " " + stmt.from[i].alias;
+  }
+  if (stmt.where != nullptr) {
+    out += " WHERE ";
+    AppendConjuncts(*stmt.where, &out);
+  }
+  for (size_t i = 0; i < stmt.order_by.size(); ++i) {
+    out += i == 0 ? " ORDER BY " : ", ";
+    out += stmt.order_by[i].expr->ToString();
+  }
+  return out;
+}
 
 Result<Translation> Xq2SqlTranslator::Translate(const XQueryAst& ast,
                                                 uint64_t read_epoch) {
@@ -515,16 +479,14 @@ Result<Translation> Xq2SqlTranslator::Translate(const XQueryAst& ast,
             bool numeric = op != "=" && op != "!=";
             std::string lv = builder.EmitValueAlias(left_node, numeric);
             std::string rv = builder.EmitValueAlias(right_node, numeric);
-            builder.AddWhere(lv + ".value " + op + " " + rv + ".value",
-                             sql::MakeBinary(CmpOp(op), Col(lv, "value"),
+            builder.AddWhere(sql::MakeBinary(CmpOp(op), Col(lv, "value"),
                                              Col(rv, "value")));
           } else {
             bool numeric = cond.right_literal.type() != ValueType::kText;
             std::string lv = builder.EmitValueAlias(left_node, numeric);
-            builder.AddWhere(
-                lv + ".value " + op + " " + LiteralSql(cond.right_literal),
-                sql::MakeBinary(CmpOp(op), Col(lv, "value"),
-                                sql::MakeLiteral(cond.right_literal)));
+            builder.AddWhere(sql::MakeBinary(
+                CmpOp(op), Col(lv, "value"),
+                sql::MakeLiteral(cond.right_literal)));
           }
           break;
         }
@@ -542,15 +504,12 @@ Result<Translation> Xq2SqlTranslator::Translate(const XQueryAst& ast,
             std::string any_node = builder.NewAlias("na");
             builder.AddFrom(hounds::kNodeTable, any_node);
             builder.AddWhere(
-                any_node + ".doc_id = " + scope_node + ".doc_id",
                 sql::MakeBinary(sql::BinaryOp::kEq, Col(any_node, "doc_id"),
                                 Col(scope_node, "doc_id")));
             builder.AddWhere(
-                any_node + ".ordinal >= " + scope_node + ".ordinal",
                 sql::MakeBinary(sql::BinaryOp::kGe, Col(any_node, "ordinal"),
                                 Col(scope_node, "ordinal")));
             builder.AddWhere(
-                any_node + ".ordinal <= " + scope_node + ".end_ordinal",
                 sql::MakeBinary(sql::BinaryOp::kLe, Col(any_node, "ordinal"),
                                 Col(scope_node, "end_ordinal")));
             text_alias = builder.EmitValueAlias(any_node, /*numeric=*/false);
@@ -562,9 +521,7 @@ Result<Translation> Xq2SqlTranslator::Translate(const XQueryAst& ast,
           contains->kind = sql::ExprKind::kContains;
           contains->left = Col(text_alias, "value");
           contains->right = sql::MakeLiteral(Value::Text(cond.keyword));
-          builder.AddWhere("CONTAINS(" + text_alias + ".value, " +
-                               SqlQuote(cond.keyword) + ")",
-                           std::move(contains));
+          builder.AddWhere(std::move(contains));
           break;
         }
         case XqCondKind::kOrder: {
@@ -575,12 +532,9 @@ Result<Translation> Xq2SqlTranslator::Translate(const XQueryAst& ast,
           bool before = cond.op == "BEFORE";
           if (leaf.negated) before = !before;
           builder.AddWhere(
-              left_node + ".doc_id = " + right_node + ".doc_id",
               sql::MakeBinary(sql::BinaryOp::kEq, Col(left_node, "doc_id"),
                               Col(right_node, "doc_id")));
           builder.AddWhere(
-              left_node + ".ordinal " + (before ? "<" : ">") + " " +
-                  right_node + ".ordinal",
               sql::MakeBinary(before ? sql::BinaryOp::kLt : sql::BinaryOp::kGt,
                               Col(left_node, "ordinal"),
                               Col(right_node, "ordinal")));
@@ -592,7 +546,6 @@ Result<Translation> Xq2SqlTranslator::Translate(const XQueryAst& ast,
     }
 
     // RETURN items.
-    std::vector<std::string> select_items;
     std::vector<sql::SelectItem> stmt_items;
     for (size_t i = 0; i < ast.returns.size(); ++i) {
       const XqReturnItem& item = ast.returns[i];
@@ -604,23 +557,21 @@ Result<Translation> Xq2SqlTranslator::Translate(const XQueryAst& ast,
           return Status::InvalidArgument("unbound variable $" +
                                          item.path.var);
         }
-        select_items.push_back(var->doc_alias + ".doc_id AS " +
-                               out.column_names[i]);
         si.expr = Col(var->doc_alias, "doc_id");
         stmt_items.push_back(std::move(si));
         continue;
       }
       XQ_ASSIGN_OR_RETURN(std::string node, builder.EmitPathNode(item.path));
       std::string value = builder.EmitValueAlias(node, /*numeric=*/false);
-      select_items.push_back(value + ".value AS " + out.column_names[i]);
       si.expr = Col(value, "value");
       stmt_items.push_back(std::move(si));
     }
 
     std::string order_by = "d_" + ast.bindings.front().var + ".doc_id";
-    out.sql.push_back(builder.Build(select_items, order_by));
-    out.stmts.push_back(std::make_shared<sql::SelectStmt>(
-        builder.BuildStmt(std::move(stmt_items), order_by)));
+    auto stmt = std::make_shared<sql::SelectStmt>(
+        builder.BuildStmt(std::move(stmt_items), order_by));
+    out.sql.push_back(RenderSql(*stmt));
+    out.stmts.push_back(std::move(stmt));
   }
   return out;
 }

@@ -14,15 +14,14 @@ namespace xomatiq::xq {
 
 // Output of translating one XomatiQ query.
 struct Translation {
-  // One SQL statement per disjunct of the WHERE clause's disjunctive
-  // normal form; results are unioned (set semantics) by the caller.
+  // RenderSql of each statement in `stmts`, same order: the text shown
+  // for display and logging, and used as caching keys.
   std::vector<std::string> sql;
-  // Structured form of each statement in `sql`, same order. The engine
-  // executes these directly (SqlEngine::ExecuteSelectStmtBatched), so the
-  // hot XQ path never re-lexes or re-parses the generated text; the
-  // strings above are kept for display, logging and caching keys.
-  // shared_ptr because Translation is copied (result cache, XqResult)
-  // while SelectStmt is move-only.
+  // One SELECT per disjunct of the WHERE clause's disjunctive normal form;
+  // results are unioned (set semantics) by the caller. The engine executes
+  // these directly (SqlEngine::ExecuteSelectStmtBatched), so the XQ path
+  // never lexes or parses SQL text. shared_ptr because Translation is
+  // copied (result cache, XqResult) while SelectStmt is move-only.
   std::vector<std::shared_ptr<const sql::SelectStmt>> stmts;
   // Output column names, in RETURN order.
   std::vector<std::string> column_names;
@@ -33,6 +32,12 @@ struct Translation {
   // binding order). The server's result cache keys invalidation on these.
   std::vector<std::string> collections;
 };
+
+// SQL text of a translated statement. Renders only the fields the
+// translator fills: DISTINCT, aliased items, the FROM list, the WHERE
+// clause as a flat AND of its top-level conjuncts (each through
+// Expr::ToString), and ORDER BY.
+std::string RenderSql(const sql::SelectStmt& stmt);
 
 // XQ2SQL-Transformer (paper §3.2): rewrites a parsed XomatiQ query into
 // SQL over the generic shredding schema.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <shared_mutex>
 
 #include "datagen/corpus.h"
 #include "datahounds/generic_schema.h"
@@ -140,6 +141,62 @@ TEST(WarehouseTest, SyncDetectsAddUpdateRemoveUnchanged) {
   EXPECT_FALSE(
       (*warehouse)->FindDocument("enzyme:" + corpus.enzymes[1].id).ok());
   EXPECT_TRUE((*warehouse)->FindDocument("enzyme:" + fresh.id).ok());
+}
+
+// EMBL transformer whose output for one uri carries an element the DTD
+// does not allow.
+class BreakingEmblTransformer : public EmblXmlTransformer {
+ public:
+  explicit BreakingEmblTransformer(std::string uri) : uri_(std::move(uri)) {}
+
+  common::Result<std::vector<TransformedDocument>> Transform(
+      std::string_view raw) const override {
+    XQ_ASSIGN_OR_RETURN(std::vector<TransformedDocument> docs,
+                        EmblXmlTransformer::Transform(raw));
+    for (TransformedDocument& doc : docs) {
+      if (doc.uri == uri_) doc.document.mutable_root()->AddElement("bogus");
+    }
+    return docs;
+  }
+
+ private:
+  std::string uri_;
+};
+
+TEST(WarehouseTest, SyncRejectsInvalidChangedDocumentAndWritesNothing) {
+  auto db = Database::OpenInMemory();
+  auto warehouse = Warehouse::Open(db.get());
+  ASSERT_TRUE(warehouse.ok());
+  datagen::Corpus corpus = SmallCorpus();
+  EmblXmlTransformer embl;
+  ASSERT_TRUE((*warehouse)
+                  ->LoadSource("hlx_embl.inv", embl,
+                               datagen::ToEmblFlatFile(corpus))
+                  .ok());
+  // Two revised entries; the second one transforms to an invalid document.
+  datagen::Corpus updated = corpus;
+  updated.nucleotides[0].description += " (revised)";
+  updated.nucleotides[1].description += " (revised)";
+  BreakingEmblTransformer breaking("embl:" + updated.nucleotides[1].id);
+  std::string raw = datagen::ToEmblFlatFile(updated);
+
+  auto encode = [&] {
+    std::shared_lock<std::shared_mutex> lock(db->latch());
+    return db->EncodeState();
+  };
+  std::string before = encode();
+  auto rejected = (*warehouse)->SyncSource("hlx_embl.inv", breaking, raw);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(),
+            common::StatusCode::kConstraintViolation);
+  EXPECT_EQ(encode(), before);
+
+  // The same revision through the plain transformer applies.
+  auto applied = (*warehouse)->SyncSource("hlx_embl.inv", embl, raw);
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_EQ(applied->updated, 2u);
+  EXPECT_EQ(applied->unchanged, 10u);
+  EXPECT_NE(encode(), before);
 }
 
 TEST(WarehouseTest, SyncIsIdempotent) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sql/compiled_expr.h"
 #include "sql/parser.h"
 
 namespace xomatiq::sql {
@@ -20,14 +21,22 @@ class ExprEvalTest : public ::testing::Test {
                  {"s", ValueType::kText, false},
                  {"n", ValueType::kInt, false}}) {}
 
-  // Evaluates `text` against (i=10, d=2.5, s="hello world", n=NULL).
-  Value Eval(const std::string& text) {
+  // Binds and compiles `text`, then evaluates it against `tuple`.
+  common::Result<Value> TryEval(const std::string& text, const Tuple& tuple) {
     auto expr = ParseExpression(text);
     EXPECT_TRUE(expr.ok()) << text << ": " << expr.status().ToString();
-    EXPECT_TRUE(Bind(expr->get(), schema_).ok()) << text;
+    if (!expr.ok()) return expr.status();
+    XQ_RETURN_IF_ERROR(Bind(expr->get(), schema_));
+    XQ_ASSIGN_OR_RETURN(CompiledExpr prog, CompiledExpr::Compile(**expr));
+    EvalScratch scratch;
+    return prog.EvalRow(tuple, &scratch);
+  }
+
+  // Evaluates `text` against (i=10, d=2.5, s="hello world", n=NULL).
+  Value Eval(const std::string& text) {
     Tuple tuple{Value::Int(10), Value::Double(2.5),
                 Value::Text("hello world"), Value::Null()};
-    auto result = sql::Eval(**expr, tuple);
+    auto result = TryEval(text, tuple);
     EXPECT_TRUE(result.ok()) << text << ": " << result.status().ToString();
     return result.ok() ? *result : Value::Null();
   }
@@ -46,12 +55,13 @@ TEST_F(ExprEvalTest, Arithmetic) {
 }
 
 TEST_F(ExprEvalTest, DivisionByZeroIsError) {
-  auto expr = ParseExpression("i / 0");
-  ASSERT_TRUE(expr.ok());
-  ASSERT_TRUE(Bind(expr->get(), schema_).ok());
   Tuple tuple{Value::Int(10), Value::Double(2.5), Value::Text("x"),
               Value::Null()};
-  EXPECT_FALSE(sql::Eval(**expr, tuple).ok());
+  auto result = TryEval("i / 0", tuple);
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find("division by zero"),
+            std::string::npos)
+      << result.status().ToString();
 }
 
 TEST_F(ExprEvalTest, Comparisons) {

@@ -1,16 +1,18 @@
 // Differential suite for morsel-driven parallel execution: every parallel
-// operator (scan, hash join build/probe, aggregation, sort, distinct) must
-// produce byte-identical rows — values AND order — to the serial executor,
+// operator (scan, hash join build/probe, sort, distinct) must produce
+// byte-identical rows — values AND order — to the serial executor,
 // including under a pinned MVCC snapshot with concurrent DML, and an
 // expired deadline must surface as a typed kTimeout from parallel plans.
+// Aggregates always run serially, over parallel inputs.
 //
-// The corpus uses dyadic doubles (multiples of 0.25) so parallel partial
-// SUM/AVG merges are exact, making double aggregates comparable bit-for-bit
+// The corpus uses dyadic doubles (multiples of 0.25) so SUM/AVG are exact
+// in any summation order, making double aggregates comparable bit-for-bit
 // rather than "close".
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <random>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -115,6 +117,15 @@ class ParallelExecTest : public ::testing::Test {
     return r.ok() ? r->explain_text : std::string();
   }
 
+  // The first EXPLAIN line naming `op` ("" when none does).
+  static std::string PlanLine(const std::string& plan, const std::string& op) {
+    std::istringstream lines(plan);
+    for (std::string line; std::getline(lines, line);) {
+      if (line.find(op) != std::string::npos) return line;
+    }
+    return "";
+  }
+
   std::unique_ptr<Database> db_;
   std::unique_ptr<exec::WorkerPool> pool_;
   std::unique_ptr<SqlEngine> serial_;
@@ -138,11 +149,16 @@ TEST_F(ParallelExecTest, HashJoinMatchesSerial) {
 
 TEST_F(ParallelExecTest, AggregationMatchesSerialIncludingGroupOrder) {
   // No ORDER BY: the group output order itself (serial first-seen order)
-  // is part of the contract the parallel merge must reproduce.
+  // is part of the contract; the parallel scan feeding the aggregate must
+  // deliver rows in serial order to keep it.
   const std::string q =
       "SELECT grp, COUNT(*), SUM(val), SUM(dv), AVG(dv), MIN(tag), "
       "MAX(val) FROM big GROUP BY grp";
-  EXPECT_NE(Explain(q).find("workers="), std::string::npos);
+  const std::string plan = Explain(q);
+  const std::string agg = PlanLine(plan, "Aggregate");
+  ASSERT_FALSE(agg.empty()) << plan;
+  EXPECT_EQ(agg.find("workers="), std::string::npos) << plan;
+  EXPECT_NE(plan.find("workers="), std::string::npos) << plan;
   ExpectSame(q);
   ExpectSame("SELECT COUNT(*), SUM(dv), MIN(val), MAX(tag) FROM big");
 }

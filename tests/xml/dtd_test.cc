@@ -238,6 +238,14 @@ struct ModelCase {
   bool valid;
 };
 
+// Names each case by its content, which also makes its ctest name stable;
+// gtest would otherwise print the struct's raw bytes, pointers included.
+void PrintTo(const ModelCase& c, std::ostream* os) {
+  *os << c.model << " with "
+      << (c.children[0] == '\0' ? "no children" : c.children)
+      << (c.valid ? " is valid" : " is invalid");
+}
+
 class ContentModelTest : public ::testing::TestWithParam<ModelCase> {};
 
 TEST_P(ContentModelTest, Matches) {

@@ -1,6 +1,5 @@
-// The unified common::QueryRequest surface: engines validate the mode,
-// honor read_epoch snapshot pinning, and the deprecated (text, options)
-// shims still route through the same entry points.
+// The unified common::QueryRequest surface: engines validate the mode and
+// honor read_epoch snapshot pinning.
 
 #include <gtest/gtest.h>
 
@@ -120,23 +119,6 @@ TEST_F(QueryRequestApiTest, ReadEpochPinsSqlAcrossDml) {
       common::QueryRequest::Sql("SELECT doc_id FROM xml_document"));
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ(fresh->rows.size(), docs - 1);
-}
-
-TEST_F(QueryRequestApiTest, DeprecatedShimsStillRoute) {
-  // The (text, options) overload triples survive one release as
-  // forwarding shims; they must produce the same answers as the
-  // QueryRequest path.
-  common::QueryOptions opts;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  auto sql_r = xomatiq_->engine()->Execute("SELECT doc_id FROM xml_document",
-                                           opts);
-  auto xq_r = xomatiq_->Execute(kListQuery, opts);
-#pragma GCC diagnostic pop
-  ASSERT_TRUE(sql_r.ok()) << sql_r.status().ToString();
-  EXPECT_EQ(sql_r->rows.size(), 12u);
-  ASSERT_TRUE(xq_r.ok()) << xq_r.status().ToString();
-  EXPECT_EQ(xq_r->rows.size(), 12u);
 }
 
 }  // namespace
