@@ -93,8 +93,8 @@ void LogPlanFingerprint(const PlanNode& plan) {
   }
   if (rec != nullptr) {
     rec->plan_fp = fp;
-    // est_rows >= 0 iff the cost-based planner annotated the tree
-    // (rule-based plans stay uncosted by design).
+    // est_rows >= 0 iff the plan was costed (rule plans carry no
+    // estimates).
     rec->planner = plan.est_rows >= 0 ? "cost" : "rule";
     rec->est_rows =
         plan.est_rows >= 0 ? static_cast<int64_t>(plan.est_rows) : -1;

@@ -83,8 +83,7 @@ std::string LogicalOp::ToString(int indent) const {
 }
 
 Result<LogicalPtr> Binder::BindSelect(const SelectStmt& stmt) {
-  // Relations in FROM order; aliases must be unique (same diagnostics as
-  // the rule-based planner, so auto-dispatch never changes error text).
+  // Relations in FROM order; aliases must be unique.
   std::vector<TableRef> tables = stmt.from;
   for (const JoinClause& j : stmt.joins) tables.push_back(j.table);
   if (tables.empty()) {
@@ -123,10 +122,9 @@ Result<LogicalPtr> Binder::BindSelect(const SelectStmt& stmt) {
   }
   LogicalPtr plan = std::move(join);
 
-  // Aggregation detection and output expression working copies, mirroring
-  // the rule-based planner's upper-plan construction. SELECT * expands in
-  // FROM order (the kJoin schema), independent of the physical join order
-  // the cost-based lowering later picks.
+  // Aggregation detection and output expression working copies. SELECT *
+  // expands in FROM order (the kJoin schema), independent of the physical
+  // join order the lowering later picks.
   bool has_agg = !stmt.group_by.empty();
   for (const SelectItem& item : stmt.items) {
     if (item.expr && ContainsAggregate(*item.expr)) has_agg = true;

@@ -12,10 +12,10 @@
 
 namespace xomatiq::sql {
 
-// Logical (pre-costing) plan IR. The Binder produces it from a SelectStmt;
-// the rewrite pass (RewriteLogicalPlan) folds constants and pushes
-// single-table predicates into the Get leaves; the cost-based physical
-// planner (physical_planner.h) lowers it to a PlanNode tree.
+// Logical plan IR. The Binder produces it from a SelectStmt; the rewrite
+// pass (RewriteLogicalPlan) folds constants and pushes single-table
+// predicates into the Get leaves; the physical planner (physical_planner.h)
+// lowers it to a PlanNode tree.
 //
 // Shape invariant: the tree is a chain of unary operators
 // (Limit/Distinct/Sort/Project/Filter/Aggregate) ending in one n-ary kJoin
@@ -80,8 +80,7 @@ struct LogicalOp {
 // Binds a SELECT AST into the logical IR: resolves tables, validates that
 // every predicate binds against the joined schema, rewrites aggregate
 // expressions to _grpN/_aggN references, and types every derived column.
-// Semantics (error messages included) mirror the rule-based planner so the
-// auto-dispatching planner can fall back without behavior change.
+// Every planning error about the statement's meaning comes from here.
 class Binder {
  public:
   explicit Binder(rel::Database* db) : db_(db) {}

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <thread>
@@ -69,17 +70,60 @@ double PriceMaybeParallel(const CostModel& cm, const PlannerOptions& options,
   return parallel;
 }
 
+// Largest base-table input (in heap slots) feeding `node`. Index accesses
+// count as small: they are selective by construction, so an operator above
+// them does not inherit "big input" from the table they probe.
+uint64_t LargestBaseInput(const PlanNode& node, const rel::Database* db) {
+  uint64_t best = 0;
+  if (node.kind == PlanKind::kSeqScan ||
+      node.kind == PlanKind::kParallelSeqScan) {
+    auto table = db->GetTable(node.table);
+    if (table.ok()) best = (*table)->num_slots();
+  }
+  for (const PlanPtr& child : node.children) {
+    best = std::max(best, LargestBaseInput(*child, db));
+  }
+  return best;
+}
+
+// Rule per-operator DOP: pipeline breakers fed by a big base input get a
+// parallel degree; small inputs stay serial. The annotation is permission,
+// not obligation — the executor re-checks actual row counts and pool width
+// at run time before fanning out. Aggregates always stream serially:
+// merging per-morsel partials lost to the serial fold.
+void AnnotateParallelOps(PlanNode* node, const rel::Database* db,
+                         const PlannerOptions& options) {
+  for (const PlanPtr& child : node->children) {
+    AnnotateParallelOps(child.get(), db, options);
+  }
+  switch (node->kind) {
+    case PlanKind::kHashJoin:
+    case PlanKind::kSort:
+    case PlanKind::kDistinct:
+      break;
+    default:
+      return;
+  }
+  if (LargestBaseInput(*node, db) < options.parallel_scan_threshold) return;
+  node->parallel_degree = ConfiguredDegree(options);
+}
+
 }  // namespace
 
-// Per-relation planning state: statistics, pushed-predicate selectivities
-// and the chosen (cheapest) access path.
-struct CostBasedPlanner::RelInfo {
+// Per-relation planning state: statistics and pushed-predicate
+// selectivities (costed planning only; rules leave them at 1) and the
+// chosen access path.
+struct PhysicalPlanner::RelInfo {
   const LogicalOp* get = nullptr;
   const rel::Table* table = nullptr;
   std::shared_ptr<const TableStats> stats;
   double base_rows = 1;      // max(1, row_count): keeps ratios finite
   double filtered_rows = 1;  // after every pushed conjunct
   std::vector<double> pushed_sel;
+  // How selective an index-driven access the pushed predicates allow: 3 a
+  // keyword posting list, 2 an equality on an index's first column, 1 a
+  // B+tree range, 0 none. Each rule join component starts from the best.
+  int seed_score = 0;
 
   PlanKind access_kind = PlanKind::kSeqScan;
   const IndexEntry* index = nullptr;
@@ -95,18 +139,20 @@ struct CostBasedPlanner::RelInfo {
   double access_cost = 0;      // access + residual-filter evaluation
 };
 
-// One cross-relation conjunct with its relation mask and selectivity.
-struct CostBasedPlanner::JoinConjunct {
+// One cross-relation conjunct with the relations it references and, when
+// costed, its relation mask and selectivity.
+struct PhysicalPlanner::JoinConjunct {
   const Expr* expr = nullptr;
-  uint64_t mask = 0;
+  std::vector<size_t> rels;  // ascending
+  uint64_t mask = 0;         // `rels` as bits (costed joins only)
   double selectivity = CardinalityEstimator::kDefaultSel;
-  bool equi = false;             // col = col across two relations
-  size_t left_rel = 0, right_rel = 0;
-  std::string left_col, right_col;  // as written (possibly qualified)
+  // `lhs = rhs`: the relations each side references (empty otherwise).
+  std::vector<size_t> lhs_rels, rhs_rels;
+  bool equi = false;  // col = col across two relations
 };
 
-// One join in the chosen left-deep order.
-struct CostBasedPlanner::JoinStep {
+// One join in a left-deep order.
+struct PhysicalPlanner::JoinStep {
   size_t rel = 0;
   PlanKind method = PlanKind::kNestedLoopJoin;
   const IndexEntry* inl_index = nullptr;
@@ -116,13 +162,21 @@ struct CostBasedPlanner::JoinStep {
   double after_rows = 0; // estimate after residual conjuncts apply
 };
 
-// Chooses the cheapest access path for one relation given its pushed
-// predicates, writing the choice into `rel`. Mirrors the rule-based
-// planner's access-path menu but prices every alternative instead of
-// applying a fixed preference order.
-void CostBasedPlanner::ChooseAccess(const CostModel& cm,
-                                    const std::string& table_name,
-                                    RelInfo* rel) {
+// Relations joined left-deep from `first` through `steps`. A join order
+// is a list of components crossed left to right by nested loops; a costed
+// order is one component.
+struct PhysicalPlanner::JoinComponent {
+  size_t first = 0;
+  std::vector<JoinStep> steps;
+};
+
+// Chooses one relation's access path from the candidate menu: a sequential
+// scan, a parallel scan, each index's longest equality prefix, each
+// single-column B+tree range and each keyword posting fetch, writing the
+// choice into `rel`. Costed planning takes the cheapest candidate. The
+// rule takes the highest rank — an equality prefix (longer first), then a
+// range, then a keyword, then a parallel scan — and the first of equals.
+void PhysicalPlanner::ChooseAccess(const CostModel& cm, RelInfo* rel) {
   const std::vector<ExprPtr>& pushed = rel->get->pushed;
   double base = rel->base_rows;
   double num_pushed = static_cast<double>(pushed.size());
@@ -136,14 +190,19 @@ void CostBasedPlanner::ChooseAccess(const CostModel& cm,
 
   // Baseline: sequential scan evaluating every pushed predicate.
   double best_cost = base * cm.seq_row + base * cm.pred_eval * num_pushed;
+  int best_rank = 0;
   rel->access_kind = PlanKind::kSeqScan;
   rel->access_out_rows = rel->filtered_rows;
   rel->consumed.assign(pushed.size(), false);
 
-  auto consider = [&](double cost, PlanKind kind, const IndexEntry* index,
-                      double out_rows, const std::vector<size_t>& used) {
-    if (cost >= best_cost) return;
+  // Takes the candidate when it beats the current choice; the caller then
+  // fills in the candidate's parameters.
+  auto consider = [&](int rank, double cost, PlanKind kind,
+                      const IndexEntry* index, double out_rows,
+                      const std::vector<size_t>& used) {
+    if (costed_ ? cost >= best_cost : rank <= best_rank) return false;
     best_cost = cost;
+    best_rank = rank;
     rel->access_kind = kind;
     rel->index = index;
     rel->access_out_rows = out_rows;
@@ -154,97 +213,98 @@ void CostBasedPlanner::ChooseAccess(const CostModel& cm,
     rel->hi.reset();
     rel->lo_inclusive = rel->hi_inclusive = true;
     rel->keyword.clear();
+    return true;
   };
 
-  if (rel->table->num_slots() >= options_.parallel_scan_threshold) {
-    int degree = options_.parallel_degree;
-    if (degree <= 0) {
-      degree = static_cast<int>(std::thread::hardware_concurrency());
-    }
-    if (degree >= 2) {
-      double cost = cm.parallel_startup +
-                    (base * cm.seq_row + base * cm.pred_eval * num_pushed) /
-                        degree;
-      if (cost < best_cost) {
-        consider(cost, PlanKind::kParallelSeqScan, nullptr,
-                 rel->filtered_rows, {});
-        rel->parallel_degree = degree;
-      }
+  // A parallel scan pays only when a pushed predicate fuses into its
+  // workers; unfiltered, it re-emits its morsels in order for nothing.
+  int degree = 0;
+  if (!pushed.empty() &&
+      rel->table->num_slots() >= options_.parallel_scan_threshold) {
+    degree = ConfiguredDegree(options_);
+  }
+  if (degree >= 2) {
+    double cost = cm.parallel_startup +
+                  (base * cm.seq_row + base * cm.pred_eval * num_pushed) /
+                      degree;
+    if (consider(1, cost, PlanKind::kParallelSeqScan, nullptr,
+                 rel->filtered_rows, {})) {
+      rel->parallel_degree = degree;
     }
   }
 
-  const auto* indexes = db_->IndexesOn(table_name);
-  if (indexes != nullptr) {
-    for (const auto& entry : *indexes) {
-      if (entry->def.kind == IndexKind::kInverted) {
-        for (const ContainsPred& cp : contains) {
-          if (cp.bare_column != entry->def.columns[0]) continue;
-          double sel = rel->pushed_sel[cp.conjunct_index];
-          double match = base * sel;
-          double cost = cm.index_probe + match * cm.keyword_row +
-                        match * cm.pred_eval * (num_pushed - 1);
-          std::vector<size_t> used = {cp.conjunct_index};
-          if (cost < best_cost) {
-            consider(cost, PlanKind::kKeywordScan, entry.get(), match, used);
-            rel->keyword = cp.keyword;
-          }
-        }
-        continue;
-      }
-      // Longest equality prefix over this index.
-      std::vector<Value> key;
-      std::vector<size_t> used;
-      double sel_prefix = 1.0;
-      for (const std::string& col : entry->def.columns) {
-        const EqPred* found = nullptr;
-        for (const EqPred& ep : eqs) {
-          if (ep.bare_column == col) {
-            found = &ep;
-            break;
-          }
-        }
-        if (found == nullptr) break;
-        key.push_back(found->literal);
-        used.push_back(found->conjunct_index);
-        sel_prefix *= rel->pushed_sel[found->conjunct_index];
-      }
-      bool usable = !key.empty() &&
-                    (entry->def.kind == IndexKind::kBTree ||
-                     key.size() == entry->def.columns.size());
-      if (usable) {
-        double probe = entry->def.kind == IndexKind::kBTree
-                           ? cm.btree_descend
-                           : cm.index_probe;
-        double match = base * sel_prefix;
-        double residual = num_pushed - static_cast<double>(used.size());
-        double cost =
-            probe + match * cm.index_row + match * cm.pred_eval * residual;
-        if (cost < best_cost) {
-          std::vector<Value> key_copy = key;
-          consider(cost, PlanKind::kIndexScan, entry.get(), match, used);
-          rel->eq_key = std::move(key_copy);
+  const auto* indexes = db_->IndexesOn(rel->get->table);
+  if (indexes == nullptr) {
+    rel->access_cost = best_cost;
+    return;
+  }
+  for (const auto& entry : *indexes) {
+    if (entry->def.kind == IndexKind::kInverted) {
+      for (const ContainsPred& cp : contains) {
+        if (cp.bare_column != entry->def.columns[0]) continue;
+        rel->seed_score = std::max(rel->seed_score, 3);
+        double match = base * rel->pushed_sel[cp.conjunct_index];
+        double cost = cm.index_probe + match * cm.keyword_row +
+                      match * cm.pred_eval * (num_pushed - 1);
+        if (consider(2, cost, PlanKind::kKeywordScan, entry.get(), match,
+                     {cp.conjunct_index})) {
+          rel->keyword = cp.keyword;
         }
       }
-      // Range over a single-column btree.
-      if (entry->def.kind == IndexKind::kBTree &&
-          entry->def.columns.size() == 1) {
-        for (const RangePred& rp : ranges) {
-          if (rp.bare_column != entry->def.columns[0]) continue;
-          double sel = rel->pushed_sel[rp.conjunct_index];
-          double match = base * sel;
-          double residual =
-              num_pushed - (rp.keep_conjunct ? 0.0 : 1.0);
-          double cost = cm.btree_descend + match * cm.index_row +
-                        match * cm.pred_eval * residual;
-          if (cost < best_cost) {
-            std::vector<size_t> used;
-            if (!rp.keep_conjunct) used.push_back(rp.conjunct_index);
-            consider(cost, PlanKind::kIndexScan, entry.get(), match, used);
-            rel->lo = rp.lo;
-            rel->lo_inclusive = rp.lo_inclusive;
-            rel->hi = rp.hi;
-            rel->hi_inclusive = rp.hi_inclusive;
-          }
+      continue;
+    }
+    // Longest equality prefix over this index.
+    std::vector<Value> key;
+    std::vector<size_t> used;
+    double sel_prefix = 1.0;
+    for (const std::string& col : entry->def.columns) {
+      const EqPred* found = nullptr;
+      for (const EqPred& ep : eqs) {
+        if (ep.bare_column == col) {
+          found = &ep;
+          break;
+        }
+      }
+      if (found == nullptr) break;
+      key.push_back(found->literal);
+      used.push_back(found->conjunct_index);
+      sel_prefix *= rel->pushed_sel[found->conjunct_index];
+    }
+    if (!key.empty()) rel->seed_score = std::max(rel->seed_score, 2);
+    bool usable = !key.empty() &&
+                  (entry->def.kind == IndexKind::kBTree ||
+                   key.size() == entry->def.columns.size());
+    if (usable) {
+      double probe = entry->def.kind == IndexKind::kBTree
+                         ? cm.btree_descend
+                         : cm.index_probe;
+      double match = base * sel_prefix;
+      double residual = num_pushed - static_cast<double>(used.size());
+      double cost =
+          probe + match * cm.index_row + match * cm.pred_eval * residual;
+      if (consider(3 + static_cast<int>(key.size()), cost,
+                   PlanKind::kIndexScan, entry.get(), match, used)) {
+        rel->eq_key = std::move(key);
+      }
+    }
+    // Range over a single-column btree.
+    if (entry->def.kind == IndexKind::kBTree &&
+        entry->def.columns.size() == 1) {
+      for (const RangePred& rp : ranges) {
+        if (rp.bare_column != entry->def.columns[0]) continue;
+        rel->seed_score = std::max(rel->seed_score, 1);
+        double match = base * rel->pushed_sel[rp.conjunct_index];
+        double residual = num_pushed - (rp.keep_conjunct ? 0.0 : 1.0);
+        double cost = cm.btree_descend + match * cm.index_row +
+                      match * cm.pred_eval * residual;
+        std::vector<size_t> range_used;
+        if (!rp.keep_conjunct) range_used.push_back(rp.conjunct_index);
+        if (consider(3, cost, PlanKind::kIndexScan, entry.get(), match,
+                     range_used)) {
+          rel->lo = rp.lo;
+          rel->lo_inclusive = rp.lo_inclusive;
+          rel->hi = rp.hi;
+          rel->hi_inclusive = rp.hi_inclusive;
         }
       }
     }
@@ -252,8 +312,8 @@ void CostBasedPlanner::ChooseAccess(const CostModel& cm,
   rel->access_cost = best_cost;
 }
 
-Result<PlanPtr> CostBasedPlanner::BuildAccessPlan(const LogicalOp& get,
-                                                  RelInfo* rel) {
+Result<PlanPtr> PhysicalPlanner::BuildAccessPlan(const LogicalOp& get,
+                                                 RelInfo* rel) {
   auto access = std::make_unique<PlanNode>();
   access->kind = rel->access_kind;
   access->table = get.table;
@@ -269,8 +329,10 @@ Result<PlanPtr> CostBasedPlanner::BuildAccessPlan(const LogicalOp& get,
   if (rel->access_kind == PlanKind::kParallelSeqScan) {
     access->parallel_degree = rel->parallel_degree;
   }
-  access->est_rows = rel->access_out_rows;
-  access->est_cost = rel->access_cost;
+  if (costed_) {
+    access->est_rows = rel->access_out_rows;
+    access->est_cost = rel->access_cost;
+  }
 
   std::vector<ExprPtr> residual;
   for (size_t i = 0; i < get.pushed.size(); ++i) {
@@ -284,83 +346,23 @@ Result<PlanPtr> CostBasedPlanner::BuildAccessPlan(const LogicalOp& get,
     filter->kind = PlanKind::kFilter;
     filter->schema = plan->schema;
     filter->predicate = std::move(pred);
-    filter->est_rows = rel->filtered_rows;
-    filter->est_cost = rel->access_cost;
+    if (costed_) {
+      filter->est_rows = rel->filtered_rows;
+      filter->est_cost = rel->access_cost;
+    }
     filter->children.push_back(std::move(plan));
     plan = std::move(filter);
   }
   return plan;
 }
 
-Result<PlanPtr> CostBasedPlanner::LowerJoin(const LogicalOp& join) {
-  const CostModel cm;
-  const size_t n = join.children.size();
-  if (n > 63) {
-    return Status::InvalidArgument("too many relations in join");
-  }
-
-  // --- per-relation stats, selectivities, access paths ------------------
-  std::vector<RelInfo> rels(n);
-  for (size_t i = 0; i < n; ++i) {
-    RelInfo& rel = rels[i];
-    rel.get = join.children[i].get();
-    XQ_ASSIGN_OR_RETURN(rel.table, db_->GetTable(rel.get->table));
-    rel.stats = db_->StatsFor(rel.get->table);
-    if (rel.stats == nullptr) {
-      return Status::Internal("no statistics for table " + rel.get->table);
-    }
-    rel.base_rows = std::max<double>(1.0, static_cast<double>(
-                                              rel.stats->row_count));
-    rel.filtered_rows = rel.base_rows;
-    for (const ExprPtr& c : rel.get->pushed) {
-      double sel = CardinalityEstimator::Selectivity(*c, rel.get->schema,
-                                                     *rel.stats);
-      rel.pushed_sel.push_back(sel);
-      rel.filtered_rows *= sel;
-    }
-    rel.filtered_rows = std::max(rel.filtered_rows, 1e-3);
-    ChooseAccess(cm, rel.get->table, &rel);
-  }
-
-  // --- cross-relation conjuncts: masks, selectivities, equi shapes ------
-  std::vector<JoinConjunct> jconjs;
-  for (const ExprPtr& c : join.conjuncts) {
-    JoinConjunct jc;
-    jc.expr = c.get();
-    std::vector<const Expr*> refs;
-    CollectRefs(*c, &refs);
-    for (const Expr* ref : refs) {
-      for (size_t i = 0; i < n; ++i) {
-        if (rels[i].get->schema.FindColumn(ref->column_name).has_value()) {
-          jc.mask |= uint64_t{1} << i;
-          break;
-        }
-      }
-    }
-    if (c->kind == ExprKind::kBinary && c->bin_op == BinaryOp::kEq &&
-        c->left->kind == ExprKind::kColumnRef &&
-        c->right->kind == ExprKind::kColumnRef) {
-      size_t lrel = n, rrel = n;
-      for (size_t i = 0; i < n; ++i) {
-        if (rels[i].get->schema.FindColumn(c->left->column_name)) lrel = i;
-        if (rels[i].get->schema.FindColumn(c->right->column_name)) rrel = i;
-      }
-      if (lrel < n && rrel < n && lrel != rrel) {
-        jc.equi = true;
-        jc.left_rel = lrel;
-        jc.right_rel = rrel;
-        jc.left_col = c->left->column_name;
-        jc.right_col = c->right->column_name;
-        size_t lcol =
-            rels[lrel].get->schema.FindColumn(c->left->column_name).value();
-        size_t rcol =
-            rels[rrel].get->schema.FindColumn(c->right->column_name).value();
-        jc.selectivity = CardinalityEstimator::EquiJoinSelectivity(
-            *rels[lrel].stats, lcol, *rels[rrel].stats, rcol);
-      }
-    }
-    jconjs.push_back(std::move(jc));
-  }
+// Costed join order: exact DP over left-deep orders up to dp_join_limit
+// relations, greedy cheapest-extension beyond, each step priced over the
+// three join methods.
+std::vector<PhysicalPlanner::JoinComponent> PhysicalPlanner::OrderByCost(
+    const CostModel& cm, const std::vector<RelInfo>& rels,
+    const std::vector<JoinConjunct>& jconjs) {
+  const size_t n = rels.size();
 
   // Estimated output rows for a relation subset: independent predicates,
   // every conjunct contained in the subset applied once.
@@ -430,13 +432,15 @@ Result<PlanPtr> CostBasedPlanner::LowerJoin(const LogicalOp& join) {
       // column per outer row; its pushed predicates filter post-join.
       for (size_t c : connecting_equis) {
         const JoinConjunct& jc = jconjs[c];
-        const std::string& j_col =
-            jc.right_rel == j ? jc.right_col : jc.left_col;
+        const Expr& j_col =
+            jc.rhs_rels[0] == j ? *jc.expr->right : *jc.expr->left;
         const IndexEntry* idx = db_->FindIndex(
-            rels[j].get->table, {BareName(j_col)}, IndexKind::kHash);
+            rels[j].get->table, {BareName(j_col.column_name)},
+            IndexKind::kHash);
         double probe = cm.index_probe;
         if (idx == nullptr) {
-          idx = db_->FindIndex(rels[j].get->table, {BareName(j_col)},
+          idx = db_->FindIndex(rels[j].get->table,
+                               {BareName(j_col.column_name)},
                                IndexKind::kBTree);
           probe = cm.btree_descend;
         }
@@ -459,9 +463,9 @@ Result<PlanPtr> CostBasedPlanner::LowerJoin(const LogicalOp& join) {
     return out;
   };
 
-  // Relations j that some conjunct links to the subset `mask`; empty means
-  // only cross products remain.
-  auto connected_rels = [&](uint64_t mask) {
+  // Relations j that some conjunct links to the subset `mask`; when none
+  // does, every remaining relation (a cross product).
+  auto candidates_for = [&](uint64_t mask) {
     std::vector<size_t> out;
     for (size_t j = 0; j < n; ++j) {
       const uint64_t bj = uint64_t{1} << j;
@@ -474,12 +478,27 @@ Result<PlanPtr> CostBasedPlanner::LowerJoin(const LogicalOp& join) {
         }
       }
     }
+    if (out.empty()) {
+      for (size_t j = 0; j < n; ++j) {
+        if (!(mask & (uint64_t{1} << j))) out.push_back(j);
+      }
+    }
     return out;
   };
 
-  // --- join-order search ------------------------------------------------
-  size_t first_rel = 0;
-  std::vector<JoinStep> steps;
+  auto step_of = [](const Entry& e) {
+    JoinStep s;
+    s.rel = e.last;
+    s.method = e.method;
+    s.inl_index = e.inl_index;
+    s.inl_conjunct = e.inl_conjunct;
+    s.join_rows = e.join_rows;
+    s.cost = e.cost;
+    s.after_rows = e.rows;
+    return s;
+  };
+
+  JoinComponent order;
   if (n == 1) {
     // Single relation: nothing to order.
   } else if (n <= options_.dp_join_limit) {
@@ -497,13 +516,7 @@ Result<PlanPtr> CostBasedPlanner::LowerJoin(const LogicalOp& join) {
     const uint64_t full = (uint64_t{1} << n) - 1;
     for (uint64_t mask = 1; mask < full; ++mask) {
       if (dp[mask].cost == kInf) continue;
-      std::vector<size_t> candidates = connected_rels(mask);
-      if (candidates.empty()) {
-        for (size_t j = 0; j < n; ++j) {
-          if (!(mask & (uint64_t{1} << j))) candidates.push_back(j);
-        }
-      }
-      for (size_t j : candidates) {
+      for (size_t j : candidates_for(mask)) {
         Entry e = extend(dp[mask], mask, j);
         uint64_t next = mask | (uint64_t{1} << j);
         if (e.cost < dp[next].cost) dp[next] = e;
@@ -516,74 +529,246 @@ Result<PlanPtr> CostBasedPlanner::LowerJoin(const LogicalOp& join) {
       chain.push_back(dp[mask]);
       mask = dp[mask].prev;
     }
-    first_rel = dp[mask].last;
+    order.first = dp[mask].last;
     for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-      JoinStep s;
-      s.rel = it->last;
-      s.method = it->method;
-      s.inl_index = it->inl_index;
-      s.inl_conjunct = it->inl_conjunct;
-      s.join_rows = it->join_rows;
-      s.cost = it->cost;
-      s.after_rows = it->rows;
-      steps.push_back(s);
+      order.steps.push_back(step_of(*it));
     }
   } else {
     // Greedy cheapest-extension beyond the DP limit.
-    first_rel = 0;
     double best_seed = kInf;
     for (size_t i = 0; i < n; ++i) {
       double score = rels[i].access_cost + rels[i].filtered_rows;
       if (score < best_seed) {
         best_seed = score;
-        first_rel = i;
+        order.first = i;
       }
     }
     Entry cur;
-    cur.cost = rels[first_rel].access_cost;
-    cur.rows = rels[first_rel].filtered_rows;
-    cur.last = first_rel;
-    uint64_t mask = uint64_t{1} << first_rel;
+    cur.cost = rels[order.first].access_cost;
+    cur.rows = rels[order.first].filtered_rows;
+    cur.last = order.first;
+    uint64_t mask = uint64_t{1} << order.first;
     while (Popcount(mask) < static_cast<int>(n)) {
-      std::vector<size_t> candidates = connected_rels(mask);
-      if (candidates.empty()) {
-        for (size_t j = 0; j < n; ++j) {
-          if (!(mask & (uint64_t{1} << j))) candidates.push_back(j);
-        }
-      }
       Entry best;
-      for (size_t j : candidates) {
+      for (size_t j : candidates_for(mask)) {
         Entry e = extend(cur, mask, j);
         if (e.cost < best.cost) best = e;
       }
-      JoinStep s;
-      s.rel = best.last;
-      s.method = best.method;
-      s.inl_index = best.inl_index;
-      s.inl_conjunct = best.inl_conjunct;
-      s.join_rows = best.join_rows;
-      s.cost = best.cost;
-      s.after_rows = best.rows;
-      steps.push_back(s);
+      order.steps.push_back(step_of(best));
       mask |= uint64_t{1} << best.last;
       cur = best;
     }
   }
 
-  reordered_ = first_rel != 0;
-  for (size_t k = 0; k < steps.size(); ++k) {
-    if (steps[k].rel != k + 1) reordered_ = true;
+  reordered_ = order.first != 0;
+  for (size_t k = 0; k < order.steps.size(); ++k) {
+    if (order.steps[k].rel != k + 1) reordered_ = true;
+  }
+  return {std::move(order)};
+}
+
+// Rule join order. kFromOrder joins the relations in literal FROM order.
+// Otherwise each component starts from the relation with the best
+// seed_score (the first of equals) and then takes, one at a time, the
+// first relation in FROM order that a conjunct links to the component;
+// when none links, the next component starts. The join method is an index
+// nested loop when the new relation keeps a scan access and an equality
+// links the plan to an indexed column of it (a hash index first, then a
+// B+tree); else a hash join on the linking equalities; else a nested loop.
+std::vector<PhysicalPlanner::JoinComponent> PhysicalPlanner::OrderByRule(
+    const std::vector<RelInfo>& rels,
+    const std::vector<JoinConjunct>& jconjs) const {
+  const size_t n = rels.size();
+  std::vector<bool> placed(n, false);
+  std::vector<bool> in_plan(n, false);  // the current component
+
+  auto on_plan = [&](const std::vector<size_t>& rs) {
+    return !rs.empty() && std::all_of(rs.begin(), rs.end(),
+                                      [&](size_t r) { return in_plan[r]; });
+  };
+  auto only = [](const std::vector<size_t>& rs, size_t j) {
+    return rs.size() == 1 && rs[0] == j;  // `rs` holds no duplicates
+  };
+  auto links = [&](const JoinConjunct& jc, size_t j) {
+    bool has_j = false, has_plan = false;
+    for (size_t r : jc.rels) {
+      if (r == j) {
+        has_j = true;
+      } else if (in_plan[r]) {
+        has_plan = true;
+      } else {
+        return false;
+      }
+    }
+    return has_j && has_plan;
+  };
+  auto step_for = [&](size_t j) {
+    JoinStep s;
+    s.rel = j;
+    bool scan = rels[j].access_kind == PlanKind::kSeqScan ||
+                rels[j].access_kind == PlanKind::kParallelSeqScan;
+    for (size_t c = 0; c < jconjs.size(); ++c) {
+      const JoinConjunct& jc = jconjs[c];
+      const Expr* inner = nullptr;
+      if (on_plan(jc.lhs_rels) && only(jc.rhs_rels, j)) {
+        inner = jc.expr->right.get();
+      } else if (on_plan(jc.rhs_rels) && only(jc.lhs_rels, j)) {
+        inner = jc.expr->left.get();
+      } else {
+        continue;
+      }
+      s.method = PlanKind::kHashJoin;
+      if (!scan || inner->kind != ExprKind::kColumnRef) continue;
+      const std::string& table = rels[j].get->table;
+      std::vector<std::string> col = {BareName(inner->column_name)};
+      const IndexEntry* idx = db_->FindIndex(table, col, IndexKind::kHash);
+      if (idx == nullptr) idx = db_->FindIndex(table, col, IndexKind::kBTree);
+      if (idx != nullptr) {
+        s.method = PlanKind::kIndexNLJoin;
+        s.inl_index = idx;
+        s.inl_conjunct = c;
+        break;
+      }
+    }
+    return s;
+  };
+
+  const bool from_order = options_.mode == PlannerMode::kFromOrder;
+  std::vector<JoinComponent> order;
+  for (size_t added = 0; added < n; ++added) {
+    size_t next = n;
+    if (from_order) {
+      next = added;
+    } else if (added > 0) {
+      for (size_t j = 0; j < n && next == n; ++j) {
+        if (placed[j]) continue;
+        for (const JoinConjunct& jc : jconjs) {
+          if (links(jc, j)) {
+            next = j;
+            break;
+          }
+        }
+      }
+    }
+    if (added == 0 || next == n) {
+      if (next == n) {
+        int best = -1;
+        for (size_t j = 0; j < n; ++j) {
+          if (!placed[j] && rels[j].seed_score > best) {
+            best = rels[j].seed_score;
+            next = j;
+          }
+        }
+      }
+      std::fill(in_plan.begin(), in_plan.end(), false);
+      order.push_back({next, {}});
+    } else {
+      order.back().steps.push_back(step_for(next));
+    }
+    placed[next] = true;
+    in_plan[next] = true;
+  }
+  return order;
+}
+
+Result<PlanPtr> PhysicalPlanner::LowerJoin(const LogicalOp& join) {
+  const CostModel cm;
+  const size_t n = join.children.size();
+  if (costed_ && n > kMaxCostedRelations) {
+    return Status::Internal("too many relations for a costed join");
   }
 
+  // --- per-relation stats, selectivities, access paths ------------------
+  std::vector<RelInfo> rels(n);
+  for (size_t i = 0; i < n; ++i) {
+    RelInfo& rel = rels[i];
+    rel.get = join.children[i].get();
+    XQ_ASSIGN_OR_RETURN(rel.table, db_->GetTable(rel.get->table));
+    if (costed_) {
+      rel.stats = db_->StatsFor(rel.get->table);
+      if (rel.stats == nullptr) {
+        return Status::Internal("no statistics for table " + rel.get->table);
+      }
+      rel.base_rows = std::max<double>(
+          1.0, static_cast<double>(rel.stats->row_count));
+    }
+    rel.filtered_rows = rel.base_rows;
+    for (const ExprPtr& c : rel.get->pushed) {
+      double sel = costed_ ? CardinalityEstimator::Selectivity(
+                                 *c, rel.get->schema, *rel.stats)
+                           : 1.0;
+      rel.pushed_sel.push_back(sel);
+      rel.filtered_rows *= sel;
+    }
+    rel.filtered_rows = std::max(rel.filtered_rows, 1e-3);
+    ChooseAccess(cm, &rel);
+  }
+
+  // --- cross-relation conjuncts: relations, equi shapes, selectivities --
+  // The relations (ascending, no duplicates) whose columns `e` references.
+  // A qualified reference can only resolve in the relation it names.
+  auto relations_of = [&](const Expr& e) {
+    std::vector<const Expr*> refs;
+    CollectRefs(e, &refs);
+    std::vector<size_t> out;
+    for (const Expr* ref : refs) {
+      const std::string& name = ref->column_name;
+      size_t dot = name.find('.');
+      for (size_t i = 0; i < n; ++i) {
+        const LogicalOp& get = *rels[i].get;
+        if (dot != std::string::npos &&
+            name.compare(0, dot, get.alias) != 0) {
+          continue;
+        }
+        if (get.schema.FindColumn(name).has_value()) {
+          out.push_back(i);
+          break;
+        }
+      }
+    }
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
+  };
+  std::vector<JoinConjunct> jconjs;
+  for (const ExprPtr& c : join.conjuncts) {
+    JoinConjunct jc;
+    jc.expr = c.get();
+    if (c->kind == ExprKind::kBinary && c->bin_op == BinaryOp::kEq) {
+      jc.lhs_rels = relations_of(*c->left);
+      jc.rhs_rels = relations_of(*c->right);
+      std::set_union(jc.lhs_rels.begin(), jc.lhs_rels.end(),
+                     jc.rhs_rels.begin(), jc.rhs_rels.end(),
+                     std::back_inserter(jc.rels));
+      jc.equi = c->left->kind == ExprKind::kColumnRef &&
+                c->right->kind == ExprKind::kColumnRef &&
+                jc.lhs_rels.size() == 1 && jc.rhs_rels.size() == 1 &&
+                jc.lhs_rels != jc.rhs_rels;
+    } else {
+      jc.rels = relations_of(*c);
+    }
+    if (costed_) {
+      for (size_t r : jc.rels) jc.mask |= uint64_t{1} << r;
+      if (jc.equi) {
+        const RelInfo& l = rels[jc.lhs_rels[0]];
+        const RelInfo& r = rels[jc.rhs_rels[0]];
+        jc.selectivity = CardinalityEstimator::EquiJoinSelectivity(
+            *l.stats, l.get->schema.FindColumn(c->left->column_name).value(),
+            *r.stats, r.get->schema.FindColumn(c->right->column_name).value());
+      }
+    }
+    jconjs.push_back(std::move(jc));
+  }
+
+  std::vector<JoinComponent> order =
+      costed_ ? OrderByCost(cm, rels, jconjs) : OrderByRule(rels, jconjs);
+
   // --- physical construction -------------------------------------------
-  // The conjunct pool mirrors the rule-based planner: clones consumed as
-  // joins bind them, leftovers applied as filters the moment they bind.
+  // The conjunct pool: clones consumed as joins bind them, leftovers
+  // applied as filters the moment they bind.
   std::vector<ExprPtr> pool;
   pool.reserve(jconjs.size());
   for (const ExprPtr& c : join.conjuncts) pool.push_back(c->Clone());
-
-  XQ_ASSIGN_OR_RETURN(PlanPtr plan,
-                      BuildAccessPlan(*rels[first_rel].get, &rels[first_rel]));
 
   auto apply_bindable = [&](PlanPtr p, double est_rows,
                             double est_cost) -> Result<PlanPtr> {
@@ -601,91 +786,108 @@ Result<PlanPtr> CostBasedPlanner::LowerJoin(const LogicalOp& join) {
     filter->kind = PlanKind::kFilter;
     filter->schema = p->schema;
     filter->predicate = std::move(pred);
-    filter->est_rows = est_rows;
-    filter->est_cost = est_cost;
+    if (costed_) {
+      filter->est_rows = est_rows;
+      filter->est_cost = est_cost;
+    }
     filter->children.push_back(std::move(p));
     return PlanPtr(std::move(filter));
   };
 
-  for (const JoinStep& step : steps) {
-    RelInfo& rel = rels[step.rel];
-    const Schema& qualified = rel.get->schema;
-    auto jnode = std::make_unique<PlanNode>();
-    jnode->schema = Schema::Concat(plan->schema, qualified);
-    jnode->est_rows = step.join_rows;
-    jnode->est_cost = step.cost;
+  PlanPtr plan;
+  for (const JoinComponent& component : order) {
+    RelInfo& first = rels[component.first];
+    XQ_ASSIGN_OR_RETURN(PlanPtr part, BuildAccessPlan(*first.get, &first));
+    for (const JoinStep& step : component.steps) {
+      RelInfo& rel = rels[step.rel];
+      const Schema& qualified = rel.get->schema;
+      auto jnode = std::make_unique<PlanNode>();
+      jnode->schema = Schema::Concat(part->schema, qualified);
+      if (costed_) {
+        jnode->est_rows = step.join_rows;
+        jnode->est_cost = step.cost;
+      }
 
-    if (step.method == PlanKind::kIndexNLJoin) {
-      const ExprPtr& c = pool[step.inl_conjunct];
-      jnode->kind = PlanKind::kIndexNLJoin;
-      jnode->table = rel.get->table;
-      jnode->alias = rel.get->alias;
-      jnode->index = step.inl_index;
-      // The outer key is whichever equality side binds the accumulated
-      // plan (the other side is the inner index column).
-      ExprPtr outer_key = BindableAgainst(*c->left, plan->schema)
-                              ? c->left->Clone()
-                              : c->right->Clone();
-      XQ_RETURN_IF_ERROR(Bind(outer_key.get(), plan->schema));
-      jnode->outer_key_exprs.push_back(std::move(outer_key));
-      pool[step.inl_conjunct] = nullptr;
-      jnode->children.push_back(std::move(plan));
-      plan = std::move(jnode);
-      // The discarded access path's predicates re-enter the pool so
-      // apply_bindable turns them into a post-join filter.
-      for (const ExprPtr& p : rel.get->pushed) pool.push_back(p->Clone());
-    } else if (step.method == PlanKind::kHashJoin) {
-      XQ_ASSIGN_OR_RETURN(PlanPtr access, BuildAccessPlan(*rel.get, &rel));
-      jnode->kind = PlanKind::kHashJoin;
-      for (ExprPtr& c : pool) {
-        if (c == nullptr) continue;
-        const Expr& e = *c;
-        if (e.kind != ExprKind::kBinary || e.bin_op != BinaryOp::kEq) {
-          continue;
+      if (step.method == PlanKind::kIndexNLJoin) {
+        const ExprPtr& c = pool[step.inl_conjunct];
+        jnode->kind = PlanKind::kIndexNLJoin;
+        jnode->table = rel.get->table;
+        jnode->alias = rel.get->alias;
+        jnode->index = step.inl_index;
+        // The outer key is whichever equality side binds the accumulated
+        // plan (the other side is the inner index column).
+        ExprPtr outer_key = BindableAgainst(*c->left, part->schema)
+                                ? c->left->Clone()
+                                : c->right->Clone();
+        XQ_RETURN_IF_ERROR(Bind(outer_key.get(), part->schema));
+        jnode->outer_key_exprs.push_back(std::move(outer_key));
+        pool[step.inl_conjunct] = nullptr;
+        jnode->children.push_back(std::move(part));
+        // The discarded access path's predicates re-enter the pool so
+        // apply_bindable turns them into a post-join filter.
+        for (const ExprPtr& p : rel.get->pushed) pool.push_back(p->Clone());
+      } else if (step.method == PlanKind::kHashJoin) {
+        XQ_ASSIGN_OR_RETURN(PlanPtr access, BuildAccessPlan(*rel.get, &rel));
+        jnode->kind = PlanKind::kHashJoin;
+        for (ExprPtr& c : pool) {
+          if (c == nullptr) continue;
+          const Expr& e = *c;
+          if (e.kind != ExprKind::kBinary || e.bin_op != BinaryOp::kEq) {
+            continue;
+          }
+          bool l_on_left = BindableAgainst(*e.left, part->schema);
+          bool l_on_right = BindableAgainst(*e.left, qualified);
+          bool r_on_left = BindableAgainst(*e.right, part->schema);
+          bool r_on_right = BindableAgainst(*e.right, qualified);
+          ExprPtr lk, rk;
+          if (l_on_left && !l_on_right && r_on_right && !r_on_left) {
+            lk = e.left->Clone();
+            rk = e.right->Clone();
+          } else if (r_on_left && !r_on_right && l_on_right && !l_on_left) {
+            lk = e.right->Clone();
+            rk = e.left->Clone();
+          } else {
+            continue;
+          }
+          XQ_RETURN_IF_ERROR(Bind(lk.get(), part->schema));
+          XQ_RETURN_IF_ERROR(Bind(rk.get(), qualified));
+          jnode->left_keys.push_back(std::move(lk));
+          jnode->right_keys.push_back(std::move(rk));
+          c = nullptr;
         }
-        bool l_on_left = BindableAgainst(*e.left, plan->schema);
-        bool l_on_right = BindableAgainst(*e.left, qualified);
-        bool r_on_left = BindableAgainst(*e.right, plan->schema);
-        bool r_on_right = BindableAgainst(*e.right, qualified);
-        ExprPtr lk, rk;
-        if (l_on_left && !l_on_right && r_on_right && !r_on_left) {
-          lk = e.left->Clone();
-          rk = e.right->Clone();
-        } else if (r_on_left && !r_on_right && l_on_right && !l_on_left) {
-          lk = e.right->Clone();
-          rk = e.left->Clone();
-        } else {
-          continue;
+        jnode->children.push_back(std::move(part));
+        jnode->children.push_back(std::move(access));
+        // Per-operator DOP: parallel build/probe when the fanned-out hash
+        // work amortizes the startup toll; small joins stay serial.
+        if (costed_) {
+          double build_rows = std::max(0.0, jnode->children[1]->est_rows);
+          double probe_rows = std::max(0.0, jnode->children[0]->est_rows);
+          PriceMaybeParallel(
+              cm, options_,
+              build_rows * cm.hash_build + probe_rows * cm.hash_probe, 0.0,
+              jnode.get());
         }
-        XQ_RETURN_IF_ERROR(Bind(lk.get(), plan->schema));
-        XQ_RETURN_IF_ERROR(Bind(rk.get(), qualified));
-        jnode->left_keys.push_back(std::move(lk));
-        jnode->right_keys.push_back(std::move(rk));
-        c = nullptr;
+      } else {
+        XQ_ASSIGN_OR_RETURN(PlanPtr access, BuildAccessPlan(*rel.get, &rel));
+        jnode->kind = PlanKind::kNestedLoopJoin;
+        jnode->children.push_back(std::move(part));
+        jnode->children.push_back(std::move(access));
       }
-      jnode->children.push_back(std::move(plan));
-      jnode->children.push_back(std::move(access));
-      // Per-operator DOP: parallel build/probe when the fanned-out hash
-      // work amortizes the startup toll; small joins stay serial.
-      {
-        const CostModel cm;
-        double build_rows = std::max(0.0, jnode->children[1]->est_rows);
-        double probe_rows = std::max(0.0, jnode->children[0]->est_rows);
-        PriceMaybeParallel(
-            cm, options_,
-            build_rows * cm.hash_build + probe_rows * cm.hash_probe, 0.0,
-            jnode.get());
-      }
-      plan = std::move(jnode);
-    } else {
-      XQ_ASSIGN_OR_RETURN(PlanPtr access, BuildAccessPlan(*rel.get, &rel));
-      jnode->kind = PlanKind::kNestedLoopJoin;
-      jnode->children.push_back(std::move(plan));
-      jnode->children.push_back(std::move(access));
-      plan = std::move(jnode);
+      XQ_ASSIGN_OR_RETURN(part, apply_bindable(PlanPtr(std::move(jnode)),
+                                               step.after_rows, step.cost));
     }
-    XQ_ASSIGN_OR_RETURN(
-        plan, apply_bindable(std::move(plan), step.after_rows, step.cost));
+    if (plan == nullptr) {
+      plan = std::move(part);
+      continue;
+    }
+    // Disconnected components cross last, each side already filtered, so
+    // they never multiply unfiltered cardinalities.
+    auto cross = std::make_unique<PlanNode>();
+    cross->kind = PlanKind::kNestedLoopJoin;
+    cross->schema = Schema::Concat(plan->schema, part->schema);
+    cross->children.push_back(std::move(plan));
+    cross->children.push_back(std::move(part));
+    XQ_ASSIGN_OR_RETURN(plan, apply_bindable(std::move(cross), -1, -1));
   }
 
   // Anything left in the pool failed to bind anywhere — the binder
@@ -699,13 +901,19 @@ Result<PlanPtr> CostBasedPlanner::LowerJoin(const LogicalOp& join) {
   return plan;
 }
 
-Result<PlanPtr> CostBasedPlanner::Lower(const LogicalOp& op) {
+Result<PlanPtr> PhysicalPlanner::Lower(const LogicalOp& root) {
+  XQ_ASSIGN_OR_RETURN(PlanPtr plan, LowerOp(root));
+  if (!costed_) AnnotateParallelOps(plan.get(), db_, options_);
+  return plan;
+}
+
+Result<PlanPtr> PhysicalPlanner::LowerOp(const LogicalOp& op) {
   const CostModel cm;
   if (op.kind == LogicalKind::kJoin) return LowerJoin(op);
   if (op.kind == LogicalKind::kGet) {
     return Status::Internal("bare Get outside a Join");
   }
-  XQ_ASSIGN_OR_RETURN(PlanPtr child, Lower(*op.children[0]));
+  XQ_ASSIGN_OR_RETURN(PlanPtr child, LowerOp(*op.children[0]));
   double in_rows = child->est_rows >= 0 ? child->est_rows : 1000.0;
   double cost = child->est_cost >= 0 ? child->est_cost : 0.0;
   double out_rows = in_rows;
@@ -771,10 +979,12 @@ Result<PlanPtr> CostBasedPlanner::Lower(const LogicalOp& op) {
       // Parallel alternative: per-morsel sorts share the n·log n work;
       // the serial k-way merge re-touches every row (≈log of the run
       // count, a small constant, folded into the 3x factor).
-      cost += PriceMaybeParallel(
-          cm, options_,
-          in_rows * std::log2(std::max(in_rows, 2.0)) * cm.sort_row_log,
-          in_rows * cm.sort_row_log * 3.0, node.get());
+      if (costed_) {
+        cost += PriceMaybeParallel(
+            cm, options_,
+            in_rows * std::log2(std::max(in_rows, 2.0)) * cm.sort_row_log,
+            in_rows * cm.sort_row_log * 3.0, node.get());
+      }
       break;
     }
     case LogicalKind::kLimit: {
@@ -788,15 +998,19 @@ Result<PlanPtr> CostBasedPlanner::Lower(const LogicalOp& op) {
     }
     case LogicalKind::kDistinct: {
       node->kind = PlanKind::kDistinct;
-      cost += PriceMaybeParallel(cm, options_, in_rows, 0.0, node.get());
+      if (costed_) {
+        cost += PriceMaybeParallel(cm, options_, in_rows, 0.0, node.get());
+      }
       out_rows = std::max(1.0, in_rows * 0.5);
       break;
     }
     default:
       return Status::Internal("unexpected logical node in unary chain");
   }
-  node->est_rows = out_rows;
-  node->est_cost = cost;
+  if (costed_) {
+    node->est_rows = out_rows;
+    node->est_cost = cost;
+  }
   node->children.push_back(std::move(child));
   return PlanPtr(std::move(node));
 }

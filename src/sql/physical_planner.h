@@ -1,6 +1,9 @@
 #ifndef XOMATIQ_SQL_PHYSICAL_PLANNER_H_
 #define XOMATIQ_SQL_PHYSICAL_PLANNER_H_
 
+#include <cstddef>
+#include <vector>
+
 #include "common/result.h"
 #include "relational/database.h"
 #include "sql/logical_plan.h"
@@ -10,28 +13,35 @@
 
 namespace xomatiq::sql {
 
-// Lowers a rewritten logical plan to a costed physical plan:
+// Lowers a rewritten logical plan to a physical plan. Every SELECT goes
+// through here; access-node and join-node construction, filter placement
+// and the unary operator chain are shared. Three decisions follow one of
+// two policies, chosen once per statement:
 //
-//   - per-relation access paths (SeqScan / ParallelSeqScan / IndexScan /
-//     KeywordScan) priced against the pushed single-table predicates;
-//   - left-deep join-order search — exact dynamic programming over
-//     relation subsets up to PlannerOptions::dp_join_limit relations,
-//     greedy cheapest-extension beyond — choosing hash join,
-//     index-nested-loop or nested-loop per step;
-//   - every physical node annotated with est_rows/est_cost (rendered by
-//     EXPLAIN next to the ANALYZE actuals).
+//   decision         costed (fresh statistics)      rules
+//   access path      cheapest candidate             fixed preference
+//   join order       DP up to dp_join_limit         seed, then first linked
+//                    relations, greedy beyond       relation in FROM order
+//   join method      cheapest of hash/INL/NL        INL > hash > NL
+//   parallelism      priced per operator            big-input threshold
 //
-// Requires statistics (rel::Database::StatsFor) for every base table and
-// returns an error otherwise; the Planner catches that in kAuto mode and
-// falls back to the rule-based pipeline.
-class CostBasedPlanner {
+// Both policies pick from the same access-path menu and fill the same
+// RelInfo / JoinStep structures. Costed plans carry est_rows/est_cost on
+// every node (EXPLAIN prints them); rule plans carry none.
+class PhysicalPlanner {
  public:
-  CostBasedPlanner(rel::Database* db, const PlannerOptions& options)
-      : db_(db), options_(options) {}
+  // Joins over more relations than this plan by rules: the costed join
+  // search keeps relation sets in 64-bit masks.
+  static constexpr size_t kMaxCostedRelations = 63;
+
+  // `costed` requires statistics for every base table.
+  PhysicalPlanner(rel::Database* db, const PlannerOptions& options,
+                  bool costed)
+      : db_(db), options_(options), costed_(costed) {}
 
   common::Result<PlanPtr> Lower(const LogicalOp& root);
 
-  // True when the chosen join order differs from FROM order (feeds the
+  // True when a costed join order differs from FROM order (feeds the
   // sql.opt.join_reorders counter).
   bool reordered() const { return reordered_; }
 
@@ -39,14 +49,23 @@ class CostBasedPlanner {
   struct RelInfo;
   struct JoinConjunct;
   struct JoinStep;
+  struct JoinComponent;
 
+  common::Result<PlanPtr> LowerOp(const LogicalOp& op);
   common::Result<PlanPtr> LowerJoin(const LogicalOp& join);
   common::Result<PlanPtr> BuildAccessPlan(const LogicalOp& get, RelInfo* rel);
-  void ChooseAccess(const CostModel& cm, const std::string& table_name,
-                    RelInfo* rel);
+  void ChooseAccess(const CostModel& cm, RelInfo* rel);
+  // Join orders: components joined left-deep, then crossed in order.
+  std::vector<JoinComponent> OrderByCost(
+      const CostModel& cm, const std::vector<RelInfo>& rels,
+      const std::vector<JoinConjunct>& jconjs);
+  std::vector<JoinComponent> OrderByRule(
+      const std::vector<RelInfo>& rels,
+      const std::vector<JoinConjunct>& jconjs) const;
 
   rel::Database* db_;
   const PlannerOptions& options_;
+  const bool costed_;
   bool reordered_ = false;
 };
 

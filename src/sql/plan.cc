@@ -31,25 +31,19 @@ namespace {
 // below and appends this only when `analyze` is set.
 std::string StatsSuffix(const PlanNode& node) {
   const OpStats& st = node.stats;
+  std::string out;
   if (st.fused) {
-    std::string out = " (fused into parent";
-    if (!st.partition_rows.empty()) {
-      out += "; partitions=[";
-      for (size_t i = 0; i < st.partition_rows.size(); ++i) {
-        if (i > 0) out += ", ";
-        out += std::to_string(st.partition_rows[i]);
-      }
-      out += "]";
+    // A fused parallel scan still reports its workers' rows and morsels.
+    out = " (fused into parent";
+    if (!st.partition_rows.empty()) out += ";";
+  } else {
+    char ms[32];
+    std::snprintf(ms, sizeof ms, "%.3f", static_cast<double>(st.ns) / 1e6);
+    out = " (actual rows=" + std::to_string(st.rows_out) +
+          " batches=" + std::to_string(st.batches) + " time=" + ms + "ms";
+    if (st.invocations > 1) {
+      out += " loops=" + std::to_string(st.invocations);
     }
-    return out + ")";
-  }
-  char ms[32];
-  std::snprintf(ms, sizeof ms, "%.3f", static_cast<double>(st.ns) / 1e6);
-  std::string out = " (actual rows=" + std::to_string(st.rows_out) +
-                    " batches=" + std::to_string(st.batches) + " time=" +
-                    ms + "ms";
-  if (st.invocations > 1) {
-    out += " loops=" + std::to_string(st.invocations);
   }
   if (!st.partition_rows.empty()) {
     out += " partitions=[";

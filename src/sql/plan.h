@@ -119,9 +119,8 @@ struct PlanNode {
   // kParallelSeqScan worker count (>= 2 when chosen by the planner).
   int parallel_degree = 0;
 
-  // Optimizer estimates, set by the cost-based planner (-1 = not costed;
-  // rule-based plans stay unannotated so their EXPLAIN output is
-  // byte-identical to the pre-optimizer planner). EXPLAIN renders
+  // Optimizer estimates, set only when the plan was costed (-1 = planned
+  // by rules, which estimate nothing). EXPLAIN renders
   // "(est rows=R cost=C)" when present; EXPLAIN ANALYZE places it beside
   // the actuals so estimate-vs-actual drift is visible per operator.
   double est_rows = -1;

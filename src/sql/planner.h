@@ -7,28 +7,26 @@
 
 namespace xomatiq::sql {
 
-// Which planning pipeline PlanSelect uses.
+// Which policy PlanSelect's physical lowering follows (physical_planner.h).
 enum class PlannerMode {
-  // Cost-based when every referenced table has fresh statistics (see the
-  // staleness knobs below), rule-based otherwise. Any cost-based planning
-  // failure falls back to rule-based, so kAuto never changes which queries
-  // succeed — only which physical plans they get.
+  // Costed when every referenced table has fresh statistics (see the
+  // staleness knobs below) and the join has at most
+  // PhysicalPlanner::kMaxCostedRelations relations; rules otherwise.
   kAuto,
-  // Always the rule-based FROM-order pipeline (pre-optimizer behavior).
+  // Always the rules.
   kRuleBased,
-  // Always cost-based; planning fails when statistics are missing/stale.
-  kCostBased,
-  // Rule-based with greedy join reordering disabled: tables join in
-  // literal FROM order. The differential tests and bench_optimizer use
-  // this as the worst-case baseline the optimizer is measured against.
+  // The rules with join reordering disabled: tables join in literal FROM
+  // order. The differential tests and bench_optimizer use this as the
+  // worst-case baseline the optimizer is measured against.
   kFromOrder,
 };
 
 // Planner tuning knobs.
 struct PlannerOptions {
-  // A sequential scan over a table with at least this many slots becomes a
-  // kParallelSeqScan. Defaults high enough that unit-test-sized tables
-  // keep their (byte-identical) SeqScan plans.
+  // A filtered sequential scan over a table with at least this many slots
+  // may become a kParallelSeqScan; the rules also annotate hash joins,
+  // sorts and distincts over such a scan. Defaults high enough that
+  // unit-test-sized tables keep their SeqScan plans.
   size_t parallel_scan_threshold = 1 << 16;
   // Worker count for parallel scans: 0 = hardware concurrency. Parallel
   // scans are only chosen when the effective degree is >= 2.
@@ -44,18 +42,11 @@ struct PlannerOptions {
   size_t dp_join_limit = 10;
 };
 
-// Query planner. Two pipelines share the surrounding SELECT machinery
-// (aggregation, HAVING, ORDER BY placement, DISTINCT, LIMIT):
-//
-//   - Rule-based (the original planner): left-deep plan built greedily
-//     from FROM order; single-table predicates choose hash/btree/inverted
-//     index access paths when a matching index exists, joins pick
-//     index-nested-loop when the inner join column is indexed, hash join
-//     for other equi-joins, nested-loop otherwise.
-//   - Cost-based (logical_plan.h + stats.h + physical_planner.h): binds
-//     the statement to a logical IR, rewrites it (constant folding,
-//     predicate pushdown), then searches join orders and access paths
-//     with a cardinality/cost model fed by ANALYZE statistics.
+// Query planner. Every SELECT takes one pipeline: the Binder lowers it to
+// the logical IR (logical_plan.h), RewriteLogicalPlan folds constants and
+// pushes single-table predicates down, PhysicalPlanner chooses access
+// paths, join order and join methods by cost or by rules, and
+// CompilePlanPrograms compiles its expressions.
 //
 // This is the "meticulous analysis of query plans" surface from §3.2 of
 // the paper: EXPLAIN prints the chosen plan (with estimates when costed)
@@ -72,12 +63,8 @@ class Planner {
 
  private:
   // True when every table referenced by `stmt` has statistics within the
-  // staleness bound (false, too, when a table doesn't exist — the
-  // rule-based path then reports the usual error).
+  // staleness bound.
   bool AllTablesFresh(const SelectStmt& stmt) const;
-
-  common::Result<PlanPtr> PlanSelectRuleBased(const SelectStmt& stmt);
-  common::Result<PlanPtr> PlanSelectCostBased(const SelectStmt& stmt);
 
   rel::Database* db_;
   PlannerOptions options_;

@@ -11,9 +11,8 @@
 
 namespace xomatiq::sql {
 
-// Expression-level rewrites shared by the rule-based planner and the
-// cost-based logical-plan pipeline. Moved here from planner.cc so both
-// paths classify and normalize predicates identically.
+// Expression-level rewrites: conjunct splitting, binding checks, constant
+// folding and index-shape classification of predicates.
 
 // Splits a boolean expression into top-level AND conjuncts (consumes the
 // expression tree).

@@ -1,9 +1,10 @@
 // Randomized differential testing: XomatiQ (shred + XQ2SQL + relational
 // evaluation) must agree with the native DOM evaluator on generated
 // sub-tree keyword queries and value-equality queries over the same
-// corpus. Random paths come from the documents themselves; random
-// keywords are drawn from real text values (plus misses), so both hit and
-// empty results are exercised.
+// corpus, both with rule plans and with costed plans after ANALYZE.
+// Random paths come from the documents themselves; random keywords are
+// drawn from real text values (plus misses), so both hit and empty
+// results are exercised.
 
 #include <gtest/gtest.h>
 
@@ -23,10 +24,16 @@ namespace {
 
 using rel::Database;
 
-struct CorpusFixture {
+// One loaded warehouse and the XomatiQ instance over it.
+struct Stack {
   std::unique_ptr<Database> db;
   std::unique_ptr<hounds::Warehouse> warehouse;
   std::unique_ptr<xq::XomatiQ> xomatiq;
+};
+
+struct CorpusFixture {
+  Stack plain;     // never analyzed: rule plans
+  Stack analyzed;  // the same load, then ANALYZE: costed plans
   baseline::NativeXmlStore native;
   // Leaf element names with their observed text values (per collection).
   std::map<std::string, std::vector<std::pair<std::string, std::string>>>
@@ -42,12 +49,6 @@ CorpusFixture* BuildFixture() {
     options.num_proteins = 40;
     options.num_nucleotides = 50;
     datagen::Corpus corpus = datagen::GenerateCorpus(options);
-    f->db = Database::OpenInMemory();
-    {
-      auto wh = hounds::Warehouse::Open(f->db.get());
-      EXPECT_TRUE(wh.ok());
-      f->warehouse = std::move(*wh);
-    }
     hounds::EnzymeXmlTransformer enzyme_tf;
     hounds::EmblXmlTransformer embl_tf;
     hounds::SwissProtXmlTransformer sprot_tf;
@@ -61,10 +62,21 @@ CorpusFixture* BuildFixture() {
         {"hlx_embl.inv", &embl_tf, datagen::ToEmblFlatFile(corpus)},
         {"hlx_sprot.all", &sprot_tf, datagen::ToSwissProtFlatFile(corpus)},
     };
+    for (Stack* stack : {&f->plain, &f->analyzed}) {
+      stack->db = Database::OpenInMemory();
+      auto wh = hounds::Warehouse::Open(stack->db.get());
+      EXPECT_TRUE(wh.ok());
+      stack->warehouse = std::move(*wh);
+      for (const Source& s : sources) {
+        auto stats = stack->warehouse->LoadSource(s.collection,
+                                                  *s.transformer, s.raw);
+        EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+      }
+      stack->xomatiq = std::make_unique<xq::XomatiQ>(stack->warehouse.get());
+    }
+    auto analyze = f->analyzed.xomatiq->engine()->Execute("ANALYZE");
+    EXPECT_TRUE(analyze.ok()) << analyze.status().ToString();
     for (const Source& s : sources) {
-      auto stats = f->warehouse->LoadSource(s.collection, *s.transformer,
-                                            s.raw);
-      EXPECT_TRUE(stats.ok()) << stats.status().ToString();
       auto docs = s.transformer->Transform(s.raw);
       EXPECT_TRUE(docs.ok());
       for (auto& d : *docs) {
@@ -82,7 +94,6 @@ CorpusFixture* BuildFixture() {
         f->native.Load(s.collection, std::move(d.document));
       }
     }
-    f->xomatiq = std::make_unique<xq::XomatiQ>(f->warehouse.get());
     return f;
   }();
   return fixture;
@@ -99,6 +110,25 @@ std::multiset<std::string> Sorted(
   std::multiset<std::string> out;
   for (const auto& row : rows) out.insert(common::Join(row, ", "));
   return out;
+}
+
+// Runs `query` on both warehouses; each answer must equal `expected`.
+void ExpectBothAgree(CorpusFixture* f, const std::string& query,
+                     const std::multiset<std::string>& expected) {
+  for (const Stack* stack : {&f->plain, &f->analyzed}) {
+    const bool costed = stack == &f->analyzed;
+    const char* plans = costed ? "costed plans" : "rule plans";
+    auto explain = stack->xomatiq->Explain(query);
+    ASSERT_TRUE(explain.ok()) << query << "\n" << explain.status().ToString();
+    EXPECT_EQ(explain->find("est rows=") != std::string::npos, costed)
+        << query << " (" << plans << ")\n"
+        << *explain;
+    auto result = stack->xomatiq->Execute(query);
+    ASSERT_TRUE(result.ok()) << query << " (" << plans << ")\n"
+                             << result.status().ToString();
+    EXPECT_EQ(Sorted(result->rows), expected)
+        << query << " (" << plans << ")";
+  }
 }
 
 struct RootInfo {
@@ -131,14 +161,10 @@ TEST_P(RandomQueryTest, SubtreeKeywordQueriesAgreeWithNativeDom) {
     builder.AddCondition(element, keyword).AddReturn(info.id_path);
     std::string query = builder.Build();
 
-    auto xq_result = f->xomatiq->Execute(query);
-    ASSERT_TRUE(xq_result.ok()) << query << "\n"
-                                << xq_result.status().ToString();
     auto native = f->native.SubtreeQuery(info.collection, element, keyword,
                                          {std::string("//") + info.id_path});
     ASSERT_TRUE(native.ok()) << query;
-    EXPECT_EQ(Sorted(xq_result->rows), Sorted(*native))
-        << query << "\nkeyword=" << keyword;
+    ExpectBothAgree(f, query, Sorted(*native));
   }
 }
 
@@ -156,9 +182,6 @@ TEST_P(RandomQueryTest, ValueEqualityQueriesAgreeWithNativeDom) {
                         info.collection + "\")/" + info.root +
                         " WHERE $a//" + element + " = \"" + literal +
                         "\" RETURN $a//" + info.id_path;
-    auto xq_result = f->xomatiq->Execute(query);
-    ASSERT_TRUE(xq_result.ok()) << query << "\n"
-                                << xq_result.status().ToString();
     // Native evaluation: docs with any matching element value.
     std::vector<std::vector<std::string>> native_rows;
     auto cond_steps = baseline::ParseNativePath(std::string("//") + element);
@@ -176,7 +199,7 @@ TEST_P(RandomQueryTest, ValueEqualityQueriesAgreeWithNativeDom) {
       auto ids = baseline::EvalPathValues(*doc.root(), *ret_steps);
       native_rows.push_back({ids.empty() ? "" : ids.front()});
     }
-    EXPECT_EQ(Sorted(xq_result->rows), Sorted(native_rows)) << query;
+    ExpectBothAgree(f, query, Sorted(native_rows));
   }
 }
 

@@ -5,6 +5,8 @@
 // consistent, and the database writable again. Set
 // XOMATIQ_CRASH_MATRIX_DENSE=1 to cut at every single byte offset.
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -143,8 +145,12 @@ class CrashMatrixTest : public ::testing::Test {
  protected:
   void SetUp() override {
     FaultInjector::Global().Reset();
+    // Unique per test and process: concurrent ctest processes must not share
+    // it (under ASan every process gets the same fixture address).
+    const auto* test = testing::UnitTest::GetInstance()->current_test_info();
     dir_ = testing::TempDir() + "/xq_crash_matrix_" +
-           std::to_string(reinterpret_cast<uintptr_t>(this));
+           test->test_suite_name() + "." + test->name() + "." +
+           std::to_string(getpid());
     std::filesystem::remove_all(dir_);
   }
   void TearDown() override {

@@ -1,3 +1,5 @@
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -15,8 +17,12 @@ namespace {
 class RecoveryTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // Unique per test and process: concurrent ctest processes must not share
+    // it (under ASan every process gets the same fixture address).
+    const auto* test = testing::UnitTest::GetInstance()->current_test_info();
     dir_ = testing::TempDir() + "/xq_recovery_" +
-           std::to_string(reinterpret_cast<uintptr_t>(this));
+           test->test_suite_name() + "." + test->name() + "." +
+           std::to_string(getpid());
     std::filesystem::remove_all(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

@@ -1,5 +1,7 @@
 #include "relational/wal.h"
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -15,8 +17,12 @@ namespace {
 class WalTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // Unique per test and process: concurrent ctest processes must not share
+    // it (under ASan every process gets the same fixture address).
+    const auto* test = testing::UnitTest::GetInstance()->current_test_info();
     path_ = testing::TempDir() + "/wal_test_" +
-            std::to_string(reinterpret_cast<uintptr_t>(this)) + ".log";
+            test->test_suite_name() + "." + test->name() + "." +
+            std::to_string(getpid()) + ".log";
     std::filesystem::remove(path_);
   }
   void TearDown() override { std::filesystem::remove(path_); }

@@ -113,8 +113,12 @@ struct ReplicaNode {
 class ReplicationTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // Unique per test and process: concurrent ctest processes must not share
+    // it (under ASan every process gets the same fixture address).
+    const auto* test = testing::UnitTest::GetInstance()->current_test_info();
     base_ = testing::TempDir() + "/xq_repl_" +
-            std::to_string(reinterpret_cast<uintptr_t>(this));
+            test->test_suite_name() + "." + test->name() + "." +
+            std::to_string(getpid());
     std::filesystem::remove_all(base_);
     common::FaultInjector::Global().Reset();
   }

@@ -9,6 +9,8 @@
 // written by ANALYZE must survive a crash (WAL replay, with snapshot
 // writes fault-injected to fail) and a clean checkpoint.
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -158,11 +160,48 @@ TEST(OptimizerDifferentialTest, ErrorsMatchRuleBasedPipeline) {
   }
 }
 
+TEST(OptimizerDifferentialTest, SeventyRelationJoinSameWithAndWithoutStats) {
+  // Joins over more than PhysicalPlanner::kMaxCostedRelations relations
+  // plan by rules even when every table is analyzed.
+  auto db = Database::OpenInMemory();
+  SqlEngine engine(db.get());
+  ASSERT_TRUE(engine.Execute("CREATE TABLE t (id INT, v INT)").ok());
+  ASSERT_TRUE(engine.Execute("CREATE INDEX t_id ON t (id) USING HASH").ok());
+  ASSERT_TRUE(
+      engine.Execute("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30), (4, 40)")
+          .ok());
+  std::string sql = "SELECT t0.id, t69.v FROM t t0";
+  std::string where = " WHERE t0.v > 15";
+  for (int i = 1; i < 70; ++i) {
+    std::string cur = "t" + std::to_string(i);
+    sql += ", t " + cur;
+    where += " AND " + cur + ".id = t" + std::to_string(i - 1) + ".id";
+  }
+  sql += where;
+  const std::vector<std::string> want = {"2|20", "3|30", "4|40"};
+
+  auto unanalyzed = engine.Execute(sql);
+  ASSERT_TRUE(unanalyzed.ok()) << unanalyzed.status().ToString();
+  EXPECT_EQ(Canonical(*unanalyzed), want);
+  ASSERT_TRUE(engine.Execute("ANALYZE").ok());
+  auto analyzed = engine.Execute(sql);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  EXPECT_EQ(Canonical(*analyzed), want);
+  auto plan = engine.Execute("EXPLAIN " + sql);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(plan->explain_text.find("est rows="), std::string::npos)
+      << plan->explain_text;
+}
+
 class StatsRecoveryTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // Unique per test and process: concurrent ctest processes must not share
+    // it (under ASan every process gets the same fixture address).
+    const auto* test = testing::UnitTest::GetInstance()->current_test_info();
     dir_ = testing::TempDir() + "/xq_stats_recovery_" +
-           std::to_string(reinterpret_cast<uintptr_t>(this));
+           test->test_suite_name() + "." + test->name() + "." +
+           std::to_string(getpid());
     std::filesystem::remove_all(dir_);
   }
   void TearDown() override {

@@ -150,17 +150,20 @@ TEST_F(ParallelExecTest, HashJoinMatchesSerial) {
 TEST_F(ParallelExecTest, AggregationMatchesSerialIncludingGroupOrder) {
   // No ORDER BY: the group output order itself (serial first-seen order)
   // is part of the contract; the parallel scan feeding the aggregate must
-  // deliver rows in serial order to keep it.
+  // deliver rows in serial order to keep it. The WHERE keeps ~99% of the
+  // rows and gives the scan a filter to fuse, without which the planner
+  // keeps it serial.
   const std::string q =
       "SELECT grp, COUNT(*), SUM(val), SUM(dv), AVG(dv), MIN(tag), "
-      "MAX(val) FROM big GROUP BY grp";
+      "MAX(val) FROM big WHERE val > 10 GROUP BY grp";
   const std::string plan = Explain(q);
   const std::string agg = PlanLine(plan, "Aggregate");
   ASSERT_FALSE(agg.empty()) << plan;
   EXPECT_EQ(agg.find("workers="), std::string::npos) << plan;
   EXPECT_NE(plan.find("workers="), std::string::npos) << plan;
   ExpectSame(q);
-  ExpectSame("SELECT COUNT(*), SUM(dv), MIN(val), MAX(tag) FROM big");
+  ExpectSame(
+      "SELECT COUNT(*), SUM(dv), MIN(val), MAX(tag) FROM big WHERE val > 10");
 }
 
 TEST_F(ParallelExecTest, SortMatchesSerialIncludingTieOrder) {
@@ -234,7 +237,8 @@ TEST_F(ParallelExecTest, DeadlineFiresFromParallelOperators) {
 
 TEST_F(ParallelExecTest, ExplainAnalyzeReportsWorkersAndMorsels) {
   auto r = parallel_->Execute(
-      "EXPLAIN ANALYZE SELECT grp, COUNT(*) FROM big GROUP BY grp");
+      "EXPLAIN ANALYZE SELECT grp, COUNT(*) FROM big WHERE val > 10 "
+      "GROUP BY grp");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   const std::string& text = r->explain_text;
   EXPECT_NE(text.find("workers="), std::string::npos) << text;

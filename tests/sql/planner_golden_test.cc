@@ -180,20 +180,6 @@ TEST_F(PlannerGoldenTest, WorstFromOrderIsReordered) {
   EXPECT_GT(reorders->Value(), before) << plan;
 }
 
-TEST_F(PlannerGoldenTest, CostBasedModeRequiresFreshStats) {
-  EngineOptions opts;
-  opts.planner.mode = PlannerMode::kCostBased;
-  SqlEngine strict(auto_db_.get(), opts);
-  auto r = strict.Execute("SELECT id FROM node WHERE id = 7");
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.status().ToString().find("requires fresh statistics"),
-            std::string::npos)
-      << r.status().ToString();
-  Run(auto_engine_.get(), "ANALYZE");
-  auto ok = strict.Execute("SELECT id FROM node WHERE id = 7");
-  EXPECT_TRUE(ok.ok()) << ok.status().ToString();
-}
-
 TEST_F(PlannerGoldenTest, StaleStatsFallBackToRuleBased) {
   AnalyzeAll();
   ASSERT_NE(Explain(auto_engine_.get(), "SELECT id FROM node WHERE id = 7")
