@@ -5,7 +5,9 @@
 // table.
 //
 // Plain main (no google-benchmark) so both modes run the same queries and
-// row counts can be cross-checked between them.
+// row counts can be cross-checked between them. Exits 1 on a row-count
+// mismatch, or when a planner-chosen parallel plan runs below 0.95x its
+// serial plan on a host with two or more cores (BenchParallelExec).
 
 #include <algorithm>
 #include <chrono>
@@ -57,6 +59,43 @@ double BestOfSeconds(int reps, F&& run) {
   return best;
 }
 
+// Medians of `reps` timed runs each of `a` and `b`, interleaved in ABBA
+// order so host drift lands on both sides alike.
+template <typename A, typename B>
+std::pair<double, double> PairedMedianSeconds(int reps, A&& a, B&& b) {
+  auto time = [](auto&& run) {
+    auto t0 = std::chrono::steady_clock::now();
+    run();
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+  };
+  std::vector<double> ta, tb;
+  for (int i = 0; i < reps; ++i) {
+    if (i % 2 == 0) {
+      ta.push_back(time(a));
+      tb.push_back(time(b));
+    } else {
+      tb.push_back(time(b));
+      ta.push_back(time(a));
+    }
+  }
+  auto median = [](std::vector<double>* v) {
+    std::nth_element(v->begin(), v->begin() + v->size() / 2, v->end());
+    return (*v)[v->size() / 2];
+  };
+  return {median(&ta), median(&tb)};
+}
+
+// True when the planner annotated some operator of `node` to fan out.
+bool HasParallelOp(const PlanNode& node) {
+  if (node.parallel_degree >= 2) return true;
+  for (const auto& child : node.children) {
+    if (HasParallelOp(*child)) return true;
+  }
+  return false;
+}
+
 std::vector<PlanPtr> PlanAll(Planner* planner,
                              const std::vector<std::string>& sqls) {
   std::vector<PlanPtr> plans;
@@ -85,8 +124,9 @@ size_t RunBatched(Executor* exec, const std::vector<PlanPtr>& plans) {
 }
 
 // Flattens one plan tree's EXPLAIN ANALYZE actuals into report metrics:
-// op<N>_<Kind>_rows / _ms per operator, preorder. Fused children carry
-// zero counters by design (their work is in the parent's numbers).
+// op<N>_<Kind>_rows / _ms per operator, preorder. A fused scan reports the
+// rows it produced before its parent Filter's predicate and zero time; a
+// fused join zero for both (their work is in the Filter's numbers).
 void AddOperatorStats(const PlanNode& node, int* index,
                       std::vector<std::pair<std::string, double>>* out) {
   std::string key =
@@ -225,21 +265,30 @@ void BenchWalChecksum(JsonReport* report, int reps) {
                {"wal_checksum_overhead_pct", insert.overhead_pct}});
 }
 
-// Morsel-driven parallel execution at scale: join-, aggregation- and
-// sort-heavy queries over a 150k-row fact table, three ways per query.
+// A planner-chosen parallel plan slower than this fraction of its serial
+// plan fails the run (on hosts with two or more cores).
+constexpr double kMinParallelSpeedup = 0.95;
+
+// Morsel-driven parallel execution at scale: join-, aggregation-, sort-
+// and distinct-heavy queries over a 150k-row fact table, three ways per
+// query.
 //
 //   serial_ms    — plans with parallel annotation suppressed.
 //   parallel_ms  — planner-chosen parallel plans on the process pool; the
 //                  pool sizes itself from the host (hw - 1 workers), so on
 //                  a single-core machine admission keeps every operator
 //                  serial and this column tracks serial_ms instead of
-//                  paying fan-out overhead. Aggregates always run
-//                  serially; only their input scan or join fans out.
+//                  paying fan-out overhead. Aggregates and Distinct always
+//                  run serially; only their input scan or join fans out.
 //   forced4_ms   — the same parallel plans forced through an explicit
 //                  4-worker pool regardless of host width: a diagnostic
 //                  that the fan-out machinery itself runs under bench
 //                  conditions, not a planner-chosen configuration.
-void BenchParallelExec(JsonReport* report, int reps) {
+//
+// serial_ms and parallel_ms are medians of interleaved runs. Returns
+// false when, on a host with two or more cores, a workload whose planner
+// plan fans out runs below kMinParallelSpeedup of its serial plan.
+bool BenchParallelExec(JsonReport* report, int reps) {
   constexpr size_t kFactRows = 150000;
   constexpr size_t kDimRows = 50000;
   constexpr int64_t kGroups = 512;
@@ -293,6 +342,7 @@ void BenchParallelExec(JsonReport* report, int reps) {
        "SELECT grp, COUNT(*), SUM(val), MIN(val), MAX(val) FROM fact "
        "GROUP BY grp"},
       {"parallel_sort", "SELECT k, val, id FROM fact ORDER BY val, k"},
+      {"parallel_distinct", "SELECT DISTINCT k, grp FROM fact"},
   };
 
   PlannerOptions serial_options;
@@ -310,6 +360,7 @@ void BenchParallelExec(JsonReport* report, int reps) {
   Planner forced_planner(db.get(), forced_plan_options);
 
   unsigned cores = std::thread::hardware_concurrency();
+  bool gate_ok = true;
   std::printf("%-18s %12s %12s %12s %9s %9s  (cores=%u)\n", "workload",
               "serial", "parallel", "forced4", "speedup", "rows", cores);
   for (const ParallelWorkload& w : workloads) {
@@ -331,23 +382,32 @@ void BenchParallelExec(JsonReport* report, int reps) {
     // on a single-core host), so the comparison needs jitter below the
     // few-percent level.
     int preps = std::max(reps, 7);
-    double t_serial =
-        BestOfSeconds(preps, [&] { RunBatched(&exec, serial_plans); });
-    double t_par = BestOfSeconds(preps, [&] { RunBatched(&exec, par_plans); });
+    auto [t_serial, t_par] = PairedMedianSeconds(
+        preps, [&] { RunBatched(&exec, serial_plans); },
+        [&] { RunBatched(&exec, par_plans); });
     double t_forced =
         BestOfSeconds(reps, [&] { RunBatched(&forced_exec, forced_plans); });
     double speedup = t_par > 0 ? t_serial / t_par : 0;
+    bool parallel_plan = HasParallelOp(*par_plans[0]);
 
-    std::printf("%-18s %11.3fms %11.3fms %11.3fms %8.2fx %9zu\n",
+    std::printf("%-18s %11.3fms %11.3fms %11.3fms %8.2fx %9zu%s\n",
                 w.name.c_str(), t_serial * 1e3, t_par * 1e3, t_forced * 1e3,
-                speedup, rows_serial);
+                speedup, rows_serial, parallel_plan ? "" : "  (serial plan)");
+    if (cores >= 2 && parallel_plan && speedup < kMinParallelSpeedup) {
+      std::fprintf(stderr,
+                   "parallel gate: %s runs at %.2fx serial (< %.2fx)\n",
+                   w.name.c_str(), speedup, kMinParallelSpeedup);
+      gate_ok = false;
+    }
     report->Add(w.name, {{"rows", static_cast<double>(rows_serial)},
                          {"serial_ms", t_serial * 1e3},
                          {"parallel_ms", t_par * 1e3},
                          {"forced_pool4_ms", t_forced * 1e3},
                          {"speedup_parallel", speedup},
+                         {"parallel_plan", parallel_plan ? 1.0 : 0.0},
                          {"cores", static_cast<double>(cores)}});
   }
+  return gate_ok;
 }
 
 }  // namespace
@@ -458,7 +518,7 @@ int main(int argc, char** argv) {
     }
     report.Add(w.name, std::move(metrics));
   }
-  BenchParallelExec(&report, reps);
+  bool gate_ok = BenchParallelExec(&report, reps);
   BenchWalChecksum(&report, reps);
   if (!report.Write()) return 1;
   std::printf("wrote BENCH_pipeline.json\n");
@@ -473,5 +533,5 @@ int main(int argc, char** argv) {
     std::fclose(mf);
     std::printf("wrote BENCH_pipeline_metrics.json\n");
   }
-  return 0;
+  return gate_ok ? 0 : 1;
 }

@@ -190,12 +190,6 @@ Result<const Value*> CompiledExpr::EvalRowRef(const rel::Tuple& row,
   return EvalRef(row, nullptr, scratch);
 }
 
-Result<const Value*> CompiledExpr::EvalPairRef(const rel::Tuple& left,
-                                               const rel::Tuple& right,
-                                               EvalScratch* scratch) const {
-  return EvalRef(left, &right, scratch);
-}
-
 // `right`, when set, extends the slot space: slots [0, left.size()) read
 // from `left` and the rest from `right`, exactly as if the two tuples had
 // been concatenated. Joins use this to evaluate pair predicates without
@@ -435,9 +429,8 @@ Status CompiledExpr::FilterBatch(rel::RowBatch* batch,
   next.reserve(batch->size());
   const std::vector<uint32_t>& sel = batch->sel();
   for (size_t i = 0; i < sel.size(); ++i) {
-    XQ_ASSIGN_OR_RETURN(const Value* v, EvalRowRef(batch->row(i), scratch));
-    std::optional<bool> t = Truthiness(*v);
-    if (t.has_value() && *t) next.push_back(sel[i]);
+    XQ_ASSIGN_OR_RETURN(bool pass, Passes(batch->row(i), scratch));
+    if (pass) next.push_back(sel[i]);
   }
   batch->SetSel(std::move(next));
   return Status::OK();

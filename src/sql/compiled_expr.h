@@ -7,6 +7,7 @@
 #include "relational/row_batch.h"
 #include "relational/schema.h"
 #include "sql/ast.h"
+#include "sql/expr_eval.h"
 
 namespace xomatiq::sql {
 
@@ -72,15 +73,22 @@ class CompiledExpr {
   common::Result<const rel::Value*> EvalRowRef(const rel::Tuple& row,
                                                EvalScratch* scratch) const;
 
-  // Evaluates against the virtual concatenation left ++ right without
-  // materializing it; joins use this for pair predicates. Same pointer
-  // lifetime rules as EvalRowRef.
-  common::Result<const rel::Value*> EvalPairRef(const rel::Tuple& left,
-                                                const rel::Tuple& right,
-                                                EvalScratch* scratch) const;
+  // The one predicate test: true only when the program evaluates to true
+  // on `row` (SQL three-valued logic: NULL and false both reject). Scans,
+  // joins, FilterBatch and DML row matching all filter through it.
+  // Inline: scans and joins call it once per row or pair.
+  common::Result<bool> Passes(const rel::Tuple& row,
+                              EvalScratch* scratch) const {
+    return PassesRef(row, nullptr, scratch);
+  }
+  // Pair form, over the virtual concatenation left ++ right without
+  // materializing it: joins test candidate pairs with it.
+  common::Result<bool> Passes(const rel::Tuple& left, const rel::Tuple& right,
+                              EvalScratch* scratch) const {
+    return PassesRef(left, &right, scratch);
+  }
 
-  // Narrows `batch`'s selection to the rows where the program is true
-  // (SQL three-valued logic: NULL rows are filtered out).
+  // Narrows `batch`'s selection to the rows that pass.
   common::Status FilterBatch(rel::RowBatch* batch, EvalScratch* scratch) const;
 
   size_t num_ops() const { return ops_.size(); }
@@ -100,6 +108,17 @@ class CompiledExpr {
   common::Result<const rel::Value*> EvalRef(const rel::Tuple& left,
                                             const rel::Tuple* right,
                                             EvalScratch* scratch) const;
+  common::Result<bool> PassesRef(const rel::Tuple& left,
+                                 const rel::Tuple* right,
+                                 EvalScratch* scratch) const {
+    XQ_ASSIGN_OR_RETURN(const rel::Value* v, EvalRef(left, right, scratch));
+    return IsTrue(*v);
+  }
+  // Only a TRUE result passes: NULL and FALSE reject.
+  static bool IsTrue(const rel::Value& v) {
+    std::optional<bool> t = Truthiness(v);
+    return t.has_value() && *t;
+  }
 
   std::vector<ExprOp> ops_;
 };

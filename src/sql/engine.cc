@@ -320,10 +320,10 @@ Result<QueryResult> SqlEngine::ExecuteAnalyze(const AnalyzeStmt& stmt) {
   return result;
 }
 
-Result<QueryResult> SqlEngine::ExecuteSelect(const SelectStmt& stmt,
-                                             bool explain_only, bool analyze,
-                                             common::Deadline deadline,
-                                             uint64_t epoch) {
+Result<PlanPtr> SqlEngine::RunSelect(const SelectStmt& stmt,
+                                     const Executor::BatchSink* sink,
+                                     bool analyze, common::Deadline deadline,
+                                     uint64_t epoch) {
   static common::Histogram* plan_hist =
       common::MetricsRegistry::Global().GetHistogram("sql.stage.plan");
   static common::Histogram* exec_hist =
@@ -334,12 +334,7 @@ Result<QueryResult> SqlEngine::ExecuteSelect(const SelectStmt& stmt,
     XQ_ASSIGN_OR_RETURN(plan, planner_.PlanSelect(stmt));
   }
   LogPlanFingerprint(*plan);
-  QueryResult result;
-  result.schema = plan->schema;
-  if (explain_only) {
-    result.explain_text = plan->ToString();
-    return result;
-  }
+  if (sink == nullptr) return plan;
   ExecutorOptions exec_options = options_.executor;
   exec_options.deadline = deadline;
   exec_options.snapshot_epoch = epoch;
@@ -347,23 +342,43 @@ Result<QueryResult> SqlEngine::ExecuteSelect(const SelectStmt& stmt,
   // a query that turns out slow can capture a fully annotated EXPLAIN
   // ANALYZE tree after the fact (stats cannot be gathered retroactively;
   // the per-batch counting overhead is noise).
-  bool log_armed = common::QueryLogScope::Current() != nullptr;
-  if (analyze || log_armed) {
+  common::QueryLogRecord* rec = common::QueryLogScope::Current();
+  if (analyze || rec != nullptr) {
     exec_options.collect_stats = true;
     plan->ClearStats();
   }
   Executor executor(db_, exec_options);
   {
     common::TraceSpan span("sql.execute", exec_hist);
-    XQ_ASSIGN_OR_RETURN(result.rows, executor.ExecuteToVector(*plan));
+    XQ_RETURN_IF_ERROR(executor.ExecuteBatched(*plan, *sink));
   }
-  if (common::QueryLogRecord* rec = common::QueryLogScope::Current()) {
-    rec->actual_rows = static_cast<int64_t>(result.rows.size());
+  if (rec != nullptr) {
+    rec->actual_rows = static_cast<int64_t>(plan->stats.rows_out);
   }
   MaybeCaptureSlowPlan(*plan);
-  if (analyze) {
-    // EXPLAIN ANALYZE returns the annotated tree, not the result rows.
-    result.explain_text = plan->ToString(0, /*analyze=*/true);
+  return plan;
+}
+
+Result<QueryResult> SqlEngine::ExecuteSelect(const SelectStmt& stmt,
+                                             bool explain_only, bool analyze,
+                                             common::Deadline deadline,
+                                             uint64_t epoch) {
+  QueryResult result;
+  const Executor::BatchSink collect = [&](rel::RowBatch& batch) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      // The batch is dead after this call, so owned rows move out free.
+      result.rows.push_back(batch.StealRow(i));
+    }
+    return true;
+  };
+  XQ_ASSIGN_OR_RETURN(
+      PlanPtr plan,
+      RunSelect(stmt, explain_only ? nullptr : &collect, analyze, deadline,
+                epoch));
+  result.schema = plan->schema;
+  if (explain_only || analyze) {
+    // EXPLAIN [ANALYZE] returns the (annotated) tree, not the result rows.
+    result.explain_text = plan->ToString(0, analyze);
     result.rows.clear();
   }
   return result;
@@ -372,10 +387,6 @@ Result<QueryResult> SqlEngine::ExecuteSelect(const SelectStmt& stmt,
 Result<rel::Schema> SqlEngine::ExecuteSelectStmtBatched(
     const SelectStmt& stmt, const Executor::BatchSink& sink,
     common::Deadline deadline, std::optional<uint64_t> read_epoch) {
-  static common::Histogram* plan_hist =
-      common::MetricsRegistry::Global().GetHistogram("sql.stage.plan");
-  static common::Histogram* exec_hist =
-      common::MetricsRegistry::Global().GetHistogram("sql.stage.execute");
   // Pin a snapshot unless the caller already owns one and passed its
   // epoch (XomatiQ evaluates all disjuncts of one query at one epoch).
   rel::Snapshot snap;
@@ -386,29 +397,8 @@ Result<rel::Schema> SqlEngine::ExecuteSelectStmtBatched(
     snap = db_->BeginSnapshot();
     epoch = snap.epoch();
   }
-  PlanPtr plan;
-  {
-    common::TraceSpan span("sql.plan", plan_hist);
-    XQ_ASSIGN_OR_RETURN(plan, planner_.PlanSelect(stmt));
-  }
-  LogPlanFingerprint(*plan);
-  ExecutorOptions exec_options = options_.executor;
-  exec_options.deadline = deadline;
-  exec_options.snapshot_epoch = epoch;
-  bool log_armed = common::QueryLogScope::Current() != nullptr;
-  if (log_armed) {
-    exec_options.collect_stats = true;
-    plan->ClearStats();
-  }
-  Executor executor(db_, exec_options);
-  {
-    common::TraceSpan span("sql.execute", exec_hist);
-    XQ_RETURN_IF_ERROR(executor.ExecuteBatched(*plan, sink));
-  }
-  if (common::QueryLogRecord* rec = common::QueryLogScope::Current()) {
-    rec->actual_rows = static_cast<int64_t>(plan->stats.rows_out);
-  }
-  MaybeCaptureSlowPlan(*plan);
+  XQ_ASSIGN_OR_RETURN(PlanPtr plan, RunSelect(stmt, &sink, /*analyze=*/false,
+                                              deadline, epoch));
   return plan->schema;
 }
 
@@ -472,13 +462,12 @@ Result<std::vector<RowId>> MatchRows(rel::Database* db,
   EvalScratch scratch;
   table->Scan([&](RowId row, const Tuple& tuple) {
     if (pred) {
-      auto v = pred->EvalRowRef(tuple, &scratch);
-      if (!v.ok()) {
-        inner = v.status();
+      auto pass = pred->Passes(tuple, &scratch);
+      if (!pass.ok()) {
+        inner = pass.status();
         return false;
       }
-      std::optional<bool> pass = Truthiness(**v);
-      if (!pass.has_value() || !*pass) return true;
+      if (!*pass) return true;
     }
     rows.push_back(row);
     return true;

@@ -105,6 +105,15 @@ class SqlEngine {
                                             bool explain_only, bool analyze,
                                             common::Deadline deadline,
                                             uint64_t epoch);
+  // The one SELECT runner: plans `stmt` (sql.plan span, plan fingerprint)
+  // and, unless `sink` is null (plain EXPLAIN), streams its output into
+  // `sink` at `epoch` (sql.execute span), collecting per-operator actuals
+  // for `analyze` or an armed query-log record. Returns the plan, which
+  // then carries those actuals.
+  common::Result<PlanPtr> RunSelect(const SelectStmt& stmt,
+                                    const Executor::BatchSink* sink,
+                                    bool analyze, common::Deadline deadline,
+                                    uint64_t epoch);
   common::Result<QueryResult> ExecuteInsert(const InsertStmt& stmt);
   common::Result<QueryResult> ExecuteDelete(const DeleteStmt& stmt);
   common::Result<QueryResult> ExecuteUpdate(const UpdateStmt& stmt);

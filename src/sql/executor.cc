@@ -1,6 +1,7 @@
 #include "sql/executor.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <shared_mutex>
 #include <unordered_map>
@@ -8,8 +9,6 @@
 
 #include "common/string_util.h"
 #include "exec/worker_pool.h"
-#include "sql/expr_eval.h"
-#include "sql/planner.h"
 
 namespace xomatiq::sql {
 
@@ -93,23 +92,6 @@ Value FinalizeAgg(const AggSpec& spec, const AggState& state) {
   return Value::Null();
 }
 
-// True when some node in `plan` has bound expressions without compiled
-// programs (hand-built plans; planner output arrives pre-compiled).
-bool NeedsCompile(const PlanNode& plan) {
-  if (plan.predicate && !plan.predicate_prog.has_value()) return true;
-  if (plan.project_progs.size() != plan.project_exprs.size()) return true;
-  if (plan.left_key_progs.size() != plan.left_keys.size()) return true;
-  if (plan.right_key_progs.size() != plan.right_keys.size()) return true;
-  if (plan.outer_key_progs.size() != plan.outer_key_exprs.size()) return true;
-  if (plan.sort_key_progs.size() != plan.sort_keys.size()) return true;
-  if (plan.group_progs.size() != plan.group_exprs.size()) return true;
-  if (plan.agg_arg_progs.size() != plan.aggs.size()) return true;
-  for (const auto& child : plan.children) {
-    if (NeedsCompile(*child)) return true;
-  }
-  return false;
-}
-
 // Accumulates rows into capacity-sized batches and forwards them to the
 // sink, honoring a row budget (-1 = unlimited) and consumer stop.
 class BatchEmitter {
@@ -140,8 +122,6 @@ class BatchEmitter {
     if (budget_ >= 0 && emitted_ >= budget_) stopped_ = true;
     return !stopped_;
   }
-
-  bool stopped() const { return stopped_; }
 
  private:
   bool MaybeFlush() {
@@ -177,12 +157,19 @@ inline Result<const Value*> EvalKey(const CompiledExpr& prog, int slot,
   return prog.EvalRowRef(row, scratch);
 }
 
-// Evaluates a join-pair predicate without materializing the combined row.
-Result<bool> PairPasses(const CompiledExpr& prog, const Tuple& left,
-                        const Tuple& right, EvalScratch* scratch) {
-  XQ_ASSIGN_OR_RETURN(const Value* v, prog.EvalPairRef(left, right, scratch));
-  std::optional<bool> t = Truthiness(*v);
-  return t.has_value() && *t;
+// Evaluates a join key over `row` into `key` (cleared first). False at
+// the first NULL component: NULL never joins.
+Result<bool> EvalJoinKey(const std::vector<CompiledExpr>& progs,
+                         const std::vector<int>& slots, const Tuple& row,
+                         EvalScratch* scratch, CompositeKey* key) {
+  key->clear();
+  for (size_t j = 0; j < progs.size(); ++j) {
+    XQ_ASSIGN_OR_RETURN(const Value* v,
+                        EvalKey(progs[j], slots[j], row, scratch));
+    if (v->is_null()) return false;
+    key->push_back(*v);
+  }
+  return true;
 }
 
 // Joined row: left columns then right columns, built with one allocation.
@@ -192,6 +179,22 @@ Tuple Concat(const Tuple& left, const Tuple& right) {
   combined.insert(combined.end(), left.begin(), left.end());
   combined.insert(combined.end(), right.begin(), right.end());
   return combined;
+}
+
+// A parent Filter fuses into every scan and every join.
+bool FusesFilter(PlanKind kind) {
+  switch (kind) {
+    case PlanKind::kSeqScan:
+    case PlanKind::kParallelSeqScan:
+    case PlanKind::kIndexScan:
+    case PlanKind::kKeywordScan:
+    case PlanKind::kNestedLoopJoin:
+    case PlanKind::kHashJoin:
+    case PlanKind::kIndexNLJoin:
+      return true;
+    default:
+      return false;
+  }
 }
 
 // Re-check callback for index-sourced rows. Indexes are single-version
@@ -251,28 +254,41 @@ RowVerify MakeKeywordVerify(const rel::IndexEntry& entry,
   };
 }
 
-// RowIds matched by `plan`'s index probe, collected under the entry's
-// shared latch so concurrent maintenance cannot rebalance the structure
-// mid-walk. Collected, not streamed: the latch is held for the index walk
-// only, never across heap fetches or sink calls.
+// Index probes run under the entry's shared latch so concurrent
+// maintenance cannot rebalance the structure mid-walk. They collect RowIds
+// rather than stream them: the latch is held for the index walk only,
+// never across heap fetches or sink calls.
+
+// The one equality probe: a hash lookup, a full-key B+tree lookup, or a
+// B+tree walk when `key` covers a leading prefix of the index columns.
+void ProbeIndexEq(const rel::IndexEntry& entry, const CompositeKey& key,
+                  std::vector<RowId>* out) {
+  out->clear();
+  std::shared_lock<std::shared_mutex> lock(entry.latch);
+  if (entry.def.kind == rel::IndexKind::kHash) {
+    const std::vector<RowId>* rows = entry.hash->Lookup(key);
+    if (rows != nullptr) *out = *rows;
+  } else if (key.size() == entry.def.columns.size()) {
+    *out = entry.btree->Lookup(key);
+  } else {
+    entry.btree->ScanPrefix(
+        key, [&](const CompositeKey&, const std::vector<RowId>& rows) {
+          out->insert(out->end(), rows.begin(), rows.end());
+          return true;
+        });
+  }
+}
+
+// RowIds matched by an IndexScan's or KeywordScan's probe.
 std::vector<RowId> CollectIndexMatches(const PlanNode& plan,
                                        const rel::IndexEntry& entry) {
   std::vector<RowId> matches;
-  std::shared_lock<std::shared_mutex> lock(entry.latch);
+  if (plan.kind == PlanKind::kKeywordScan) {
+    std::shared_lock<std::shared_mutex> lock(entry.latch);
+    return entry.inverted->LookupAll(plan.keyword);
+  }
   if (!plan.eq_key.empty()) {
-    if (entry.def.kind == rel::IndexKind::kHash) {
-      const std::vector<RowId>* rows = entry.hash->Lookup(plan.eq_key);
-      if (rows != nullptr) matches = *rows;
-    } else if (plan.eq_key.size() == entry.def.columns.size()) {
-      matches = entry.btree->Lookup(plan.eq_key);
-    } else {
-      entry.btree->ScanPrefix(
-          plan.eq_key,
-          [&](const CompositeKey&, const std::vector<RowId>& rows) {
-            matches.insert(matches.end(), rows.begin(), rows.end());
-            return true;
-          });
-    }
+    ProbeIndexEq(entry, plan.eq_key, &matches);
     return matches;
   }
   std::optional<rel::BTreeIndex::Bound> lo, hi;
@@ -282,6 +298,7 @@ std::vector<RowId> CollectIndexMatches(const PlanNode& plan,
   if (plan.hi.has_value()) {
     hi = rel::BTreeIndex::Bound{{*plan.hi}, plan.hi_inclusive};
   }
+  std::shared_lock<std::shared_mutex> lock(entry.latch);
   entry.btree->Scan(lo, hi,
                     [&](const CompositeKey&, const std::vector<RowId>& rows) {
                       matches.insert(matches.end(), rows.begin(), rows.end());
@@ -290,26 +307,35 @@ std::vector<RowId> CollectIndexMatches(const PlanNode& plan,
   return matches;
 }
 
-// Streams the tuples visible at `epoch` behind `rows` into the emitter;
-// false on stop. Rows with no visible version are skipped, not errors:
-// the (single-version) index runs ahead of the snapshot.
-Result<bool> EmitRowIds(const rel::Table& table, const std::vector<RowId>& rows,
-                        uint64_t epoch, const RowVerify& verify,
-                        const common::Deadline& deadline, BatchEmitter* em) {
-  uint64_t probe = 0;
+// The one visible-row fetch behind every index access: hands `visit` each
+// tuple behind `rows` that is visible at `epoch` and passes `verify`.
+// Rows with no visible version are skipped, not errors: the
+// (single-version) index runs ahead of the snapshot. `visit` returns
+// false to stop, and so does this.
+template <typename Visit>
+Result<bool> FetchVisible(const rel::Table& table,
+                          const std::vector<RowId>& rows, uint64_t epoch,
+                          const RowVerify& verify, Visit&& visit) {
   for (RowId row : rows) {
-    if (deadline.set() && (++probe & 1023) == 0 && deadline.expired()) {
-      return Status::Timeout("query deadline exceeded");
-    }
     auto tuple = table.Get(row, epoch);
     if (!tuple.ok()) {
       if (tuple.status().code() == common::StatusCode::kNotFound) continue;
       return tuple.status();
     }
     if (verify && !verify(**tuple)) continue;
-    if (!em->PushRef(*tuple, row)) return false;
+    XQ_ASSIGN_OR_RETURN(bool more, visit(row, **tuple));
+    if (!more) return false;
   }
   return true;
+}
+
+// Morsel geometry: enough morsels that work stealing can balance skew
+// (several per worker slot), each at least `min_rows` so the per-morsel
+// bookkeeping stays amortized over real work.
+size_t MorselSpan(size_t total, size_t degree, size_t min_rows) {
+  size_t max_morsels = degree * 8;
+  size_t span = (total + max_morsels - 1) / max_morsels;
+  return std::max(span, std::max<size_t>(min_rows, 1));
 }
 
 }  // namespace
@@ -319,11 +345,6 @@ Result<bool> EmitRowIds(const rel::Table& table, const std::vector<RowId>& rows,
 // ---------------------------------------------------------------------
 
 Status Executor::ExecuteBatched(const PlanNode& plan, const BatchSink& sink) {
-  if (NeedsCompile(plan)) {
-    // Compilation only fills the *_progs caches from already-bound
-    // expressions; the plan is logically const.
-    XQ_RETURN_IF_ERROR(CompilePlanPrograms(const_cast<PlanNode*>(&plan)));
-  }
   return ExecB(plan, sink, /*budget=*/-1);
 }
 
@@ -351,12 +372,60 @@ size_t Executor::EffectiveDegree(const PlanNode& plan,
   return Pool()->AdmitDegree(static_cast<size_t>(plan.parallel_degree));
 }
 
-bool Executor::DeadlineHit() {
-  if (deadline_hit_) return true;
-  if (!options_.deadline.set()) return false;
-  if ((++deadline_probe_ & 1023) != 0) return false;
-  deadline_hit_ = options_.deadline.expired();
-  return deadline_hit_;
+struct Executor::MorselSlot {
+  EvalScratch scratch;
+  uint64_t rows = 0;  // rows produced; EXPLAIN ANALYZE's partitions=[...]
+  uint64_t morsels = 0;
+  uint64_t probes = 0;
+  common::Deadline deadline;
+  Status status;
+  // Strided deadline probe for the body's row loop: one clock read every
+  // 1024 calls.
+  bool DeadlineHit() {
+    return deadline.set() && (++probes & 1023) == 0 && deadline.expired();
+  }
+};
+
+size_t Executor::NumMorsels(size_t total, size_t degree) const {
+  size_t span = MorselSpan(total, degree, options_.morsel_rows);
+  return (total + span - 1) / span;
+}
+
+Status Executor::RunMorsels(const PlanNode& plan, size_t total,
+                            size_t degree, const MorselBody& body) {
+  exec::MorselQueue morsels(total,
+                            MorselSpan(total, degree, options_.morsel_rows));
+  std::vector<MorselSlot> slots(degree);
+  const common::Deadline deadline = options_.deadline;
+  Pool()->ParallelFor(degree, [&](size_t w) {
+    MorselSlot& slot = slots[w];
+    slot.deadline = deadline;
+    size_t mi, first, last;
+    while (slot.status.ok() && morsels.Next(&mi, &first, &last)) {
+      if (deadline.expired()) {
+        slot.status = Status::Timeout("query deadline exceeded");
+        break;
+      }
+      slot.status = body(slot, mi, first, last);
+      ++slot.morsels;
+    }
+  });
+  for (const MorselSlot& slot : slots) {
+    if (!slot.status.ok()) {
+      if (slot.status.code() == common::StatusCode::kTimeout) {
+        deadline_hit_ = true;
+      }
+      return slot.status;
+    }
+  }
+  if (options_.collect_stats) {
+    plan.stats.partition_rows.clear();
+    for (const MorselSlot& slot : slots) {
+      plan.stats.partition_rows.push_back(slot.rows);
+      plan.stats.morsels += slot.morsels;
+    }
+  }
+  return Status::OK();
 }
 
 Status Executor::DeadlineStatus() const {
@@ -394,29 +463,24 @@ Status Executor::ExecB(const PlanNode& plan, const BatchSink& sink,
 }
 
 Status Executor::DispatchB(const PlanNode& plan, const BatchSink& sink,
-                           int64_t budget) {
+                           int64_t budget, const CompiledExpr* pred) {
   switch (plan.kind) {
     case PlanKind::kSeqScan:
-      return ExecScanB(plan, sink, budget);
     case PlanKind::kParallelSeqScan:
-      // A finite budget means a LIMIT bounds this scan; the serial path
-      // preserves the touch-~limit-rows guarantee.
-      return budget >= 0 ? ExecScanB(plan, sink, budget)
-                         : ExecParallelScanB(plan, sink, budget);
+      return ExecScanB(plan, sink, budget, pred);
     case PlanKind::kIndexScan:
-      return ExecIndexScanB(plan, sink, budget);
     case PlanKind::kKeywordScan:
-      return ExecKeywordScanB(plan, sink, budget);
+      return ExecIndexScanB(plan, sink, budget, pred);
     case PlanKind::kFilter:
       return ExecFilterB(plan, sink);
     case PlanKind::kProject:
       return ExecProjectB(plan, sink, budget);
     case PlanKind::kNestedLoopJoin:
-      return ExecNestedLoopJoinB(plan, sink);
+      return ExecNestedLoopJoinB(plan, sink, pred);
     case PlanKind::kHashJoin:
-      return ExecHashJoinB(plan, sink);
+      return ExecHashJoinB(plan, sink, pred);
     case PlanKind::kIndexNLJoin:
-      return ExecIndexNLJoinB(plan, sink);
+      return ExecIndexNLJoinB(plan, sink, pred);
     case PlanKind::kSort:
       return ExecSortB(plan, sink);
     case PlanKind::kLimit:
@@ -430,58 +494,34 @@ Status Executor::DispatchB(const PlanNode& plan, const BatchSink& sink,
 }
 
 Status Executor::ExecScanB(const PlanNode& plan, const BatchSink& sink,
-                           int64_t budget) {
-  XQ_ASSIGN_OR_RETURN(const rel::Table* table, db_->GetTable(plan.table));
-  BatchEmitter em(options_.batch_capacity, sink, budget);
-  table->Scan(options_.snapshot_epoch, [&](RowId row, const Tuple& tuple) {
-    if (DeadlineHit()) return false;
-    return em.PushRef(&tuple, row);
-  });
-  XQ_RETURN_IF_ERROR(DeadlineStatus());
-  em.Flush();
-  return Status::OK();
-}
-
-namespace {
-
-// Morsel geometry: enough morsels that work stealing can balance skew
-// (several per worker slot), each at least `min_rows` so the per-morsel
-// bookkeeping stays amortized over real work.
-size_t MorselSpan(size_t total, size_t degree, size_t min_rows) {
-  size_t max_morsels = degree * 8;
-  size_t span = (total + max_morsels - 1) / max_morsels;
-  return std::max(span, std::max<size_t>(min_rows, 1));
-}
-
-}  // namespace
-
-Status Executor::ExecParallelScanB(const PlanNode& plan, const BatchSink& sink,
-                                   int64_t budget,
-                                   const CompiledExpr* pred) {
-  (void)budget;
+                           int64_t budget, const CompiledExpr* pred) {
   XQ_ASSIGN_OR_RETURN(const rel::Table* table, db_->GetTable(plan.table));
   const uint64_t epoch = options_.snapshot_epoch;
   const size_t slots = table->num_slots();
-  const size_t degree = EffectiveDegree(plan, slots);
+  // A ParallelSeqScan fans out only without a budget (a LIMIT bounds the
+  // scan, and the serial loop keeps its touch-~limit-rows guarantee) and
+  // when the pool admits two or more slots for the table's size.
+  const bool parallel =
+      plan.kind == PlanKind::kParallelSeqScan && budget < 0;
+  const size_t degree = parallel ? EffectiveDegree(plan, slots) : 1;
   if (degree < 2) {
-    // Single-core host, saturated pool, or small table: run the same fused
-    // scan on the calling thread. This is the admission decision that keeps
-    // parallel plans from ever losing to serial — fan-out only happens when
-    // there is both width and work.
-    BatchEmitter em(options_.batch_capacity, sink, -1);
+    BatchEmitter em(options_.batch_capacity, sink, budget);
     EvalScratch scratch;
     Status status;
     uint64_t emitted = 0;
+    uint64_t rejected = 0;  // by the fused predicate
     table->Scan(epoch, [&](RowId row, const Tuple& tuple) {
       if (DeadlineHit()) return false;
       if (pred != nullptr) {
-        auto v = pred->EvalRowRef(tuple, &scratch);
-        if (!v.ok()) {
-          status = v.status();
+        auto pass = pred->Passes(tuple, &scratch);
+        if (!pass.ok()) {
+          status = pass.status();
           return false;
         }
-        std::optional<bool> t = Truthiness(**v);
-        if (!t.has_value() || !*t) return true;
+        if (!*pass) {
+          ++rejected;
+          return true;
+        }
       }
       ++emitted;
       return em.PushRef(&tuple, row);
@@ -489,70 +529,56 @@ Status Executor::ExecParallelScanB(const PlanNode& plan, const BatchSink& sink,
     XQ_RETURN_IF_ERROR(status);
     XQ_RETURN_IF_ERROR(DeadlineStatus());
     if (options_.collect_stats) {
-      plan.stats.partition_rows.assign(1, emitted);
+      if (parallel) plan.stats.partition_rows.assign(1, emitted);
+      if (pred != nullptr) plan.stats.rows_out += emitted + rejected;
     }
     em.Flush();
     return Status::OK();
   }
 
-  // Morsel-parallel: workers steal contiguous slot ranges from a shared
-  // cursor and buffer their output batches per morsel; the driver then
-  // emits morsels in index order, which for contiguous ranges is exactly
-  // RowId order — byte-identical to the serial scan.
-  exec::MorselQueue morsels(slots,
-                            MorselSpan(slots, degree, options_.morsel_rows));
-  std::vector<std::vector<RowBatch>> results(morsels.num_morsels());
-  std::vector<Status> worker_status(degree);
-  std::vector<uint64_t> worker_rows(degree, 0);
-  std::vector<uint64_t> worker_morsels(degree, 0);
+  // Morsel-parallel: slots buffer their output batches per morsel of
+  // contiguous heap slots, and the morsels are emitted in index order,
+  // which is exactly RowId order — byte-identical to the serial scan.
+  std::vector<std::vector<RowBatch>> results(NumMorsels(slots, degree));
+  std::atomic<uint64_t> visible{0};
   const size_t capacity = options_.batch_capacity;
-  const common::Deadline deadline = options_.deadline;
-  Pool()->ParallelFor(degree, [&](size_t w) {
-    EvalScratch scratch;
-    uint64_t probe = 0;
-    size_t mi, first, last;
-    while (worker_status[w].ok() && morsels.Next(&mi, &first, &last)) {
-      std::vector<RowBatch> out;
-      RowBatch batch(capacity);
-      table->ScanPartition(
-          epoch, static_cast<RowId>(first), static_cast<RowId>(last),
-          [&](RowId row, const Tuple& tuple) {
-            if (deadline.set() && (++probe & 1023) == 0 &&
-                deadline.expired()) {
-              worker_status[w] = Status::Timeout("query deadline exceeded");
-              return false;
-            }
-            if (pred != nullptr) {
-              auto v = pred->EvalRowRef(tuple, &scratch);
-              if (!v.ok()) {
-                worker_status[w] = v.status();
+  XQ_RETURN_IF_ERROR(RunMorsels(
+      plan, slots, degree,
+      [&](MorselSlot& slot, size_t mi, size_t first, size_t last) {
+        Status status;
+        uint64_t seen = 0;
+        std::vector<RowBatch>& out = results[mi];
+        RowBatch batch(capacity);
+        table->ScanPartition(
+            epoch, static_cast<RowId>(first), static_cast<RowId>(last),
+            [&](RowId row, const Tuple& tuple) {
+              if (slot.DeadlineHit()) {
+                status = Status::Timeout("query deadline exceeded");
                 return false;
               }
-              std::optional<bool> t = Truthiness(**v);
-              if (!t.has_value() || !*t) return true;
-            }
-            batch.AppendRef(&tuple, row);
-            ++worker_rows[w];
-            if (batch.full()) {
-              out.push_back(std::move(batch));
-              batch = RowBatch(capacity);
-            }
-            return true;
-          });
-      if (!batch.empty()) out.push_back(std::move(batch));
-      results[mi] = std::move(out);
-      ++worker_morsels[w];
-    }
-  });
-  for (const Status& s : worker_status) {
-    if (!s.ok()) {
-      if (s.code() == common::StatusCode::kTimeout) deadline_hit_ = true;
-      return s;
-    }
-  }
-  if (options_.collect_stats) {
-    plan.stats.partition_rows = worker_rows;
-    for (uint64_t m : worker_morsels) plan.stats.morsels += m;
+              ++seen;
+              if (pred != nullptr) {
+                auto pass = pred->Passes(tuple, &slot.scratch);
+                if (!pass.ok()) {
+                  status = pass.status();
+                  return false;
+                }
+                if (!*pass) return true;
+              }
+              batch.AppendRef(&tuple, row);
+              ++slot.rows;
+              if (batch.full()) {
+                out.push_back(std::move(batch));
+                batch = RowBatch(capacity);
+              }
+              return true;
+            });
+        if (!batch.empty()) out.push_back(std::move(batch));
+        visible.fetch_add(seen, std::memory_order_relaxed);
+        return status;
+      }));
+  if (options_.collect_stats && pred != nullptr) {
+    plan.stats.rows_out += visible.load(std::memory_order_relaxed);
   }
   for (auto& morsel_batches : results) {
     for (RowBatch& batch : morsel_batches) {
@@ -563,37 +589,36 @@ Status Executor::ExecParallelScanB(const PlanNode& plan, const BatchSink& sink,
 }
 
 Status Executor::ExecIndexScanB(const PlanNode& plan, const BatchSink& sink,
-                                int64_t budget) {
+                                int64_t budget, const CompiledExpr* pred) {
   XQ_ASSIGN_OR_RETURN(const rel::Table* table, db_->GetTable(plan.table));
   const rel::IndexEntry& entry = *plan.index;
   const uint64_t epoch = options_.snapshot_epoch;
   std::vector<RowId> matches = CollectIndexMatches(plan, entry);
-  RowVerify verify = plan.eq_key.empty()
+  RowVerify verify = plan.kind == PlanKind::kKeywordScan
+                         ? MakeKeywordVerify(entry, plan.keyword, epoch)
+                     : plan.eq_key.empty()
                          ? MakeRangeVerify(entry, plan, epoch)
                          : MakeEqVerify(entry, plan.eq_key, epoch);
   BatchEmitter em(options_.batch_capacity, sink, budget);
-  XQ_ASSIGN_OR_RETURN(bool more, EmitRowIds(*table, matches, epoch, verify,
-                                            options_.deadline, &em));
+  EvalScratch scratch;
+  uint64_t produced = 0;  // rows fetched before the fused predicate
+  XQ_ASSIGN_OR_RETURN(
+      bool more,
+      FetchVisible(*table, matches, epoch, verify,
+                   [&](RowId row, const Tuple& tuple) -> Result<bool> {
+                     if (DeadlineHit()) return DeadlineStatus();
+                     ++produced;
+                     if (pred != nullptr) {
+                       XQ_ASSIGN_OR_RETURN(bool pass,
+                                           pred->Passes(tuple, &scratch));
+                       if (!pass) return true;
+                     }
+                     return em.PushRef(&tuple, row);
+                   }));
   (void)more;
-  em.Flush();
-  return Status::OK();
-}
-
-Status Executor::ExecKeywordScanB(const PlanNode& plan, const BatchSink& sink,
-                                  int64_t budget) {
-  XQ_ASSIGN_OR_RETURN(const rel::Table* table, db_->GetTable(plan.table));
-  const rel::IndexEntry& entry = *plan.index;
-  const uint64_t epoch = options_.snapshot_epoch;
-  std::vector<RowId> rows;
-  {
-    std::shared_lock<std::shared_mutex> lock(entry.latch);
-    rows = entry.inverted->LookupAll(plan.keyword);
+  if (options_.collect_stats && pred != nullptr) {
+    plan.stats.rows_out += produced;
   }
-  RowVerify verify = MakeKeywordVerify(entry, plan.keyword, epoch);
-  BatchEmitter em(options_.batch_capacity, sink, budget);
-  XQ_ASSIGN_OR_RETURN(bool more, EmitRowIds(*table, rows, epoch, verify,
-                                            options_.deadline, &em));
-  (void)more;
   em.Flush();
   return Status::OK();
 }
@@ -601,55 +626,18 @@ Status Executor::ExecKeywordScanB(const PlanNode& plan, const BatchSink& sink,
 Status Executor::ExecFilterB(const PlanNode& plan, const BatchSink& sink) {
   const CompiledExpr& prog = *plan.predicate_prog;
   const PlanNode& child = *plan.children[0];
-  // Execution-time fusion: over a bare scan, evaluate the predicate inside
-  // the scan loop so rejected rows never enter a batch. The plan tree (and
-  // its EXPLAIN rendering) is untouched; the child is marked `fused` so
-  // EXPLAIN ANALYZE can explain its zeroed counters.
-  if (child.kind == PlanKind::kSeqScan) {
+  // Execution-time fusion: the child runs with the predicate, so rejected
+  // rows never enter a batch and rejected join pairs are never
+  // concatenated. The plan tree (and its EXPLAIN rendering) is untouched;
+  // the child is marked `fused` so EXPLAIN ANALYZE can say so.
+  if (FusesFilter(child.kind)) {
     if (options_.collect_stats) child.stats.fused = true;
-    XQ_ASSIGN_OR_RETURN(const rel::Table* table, db_->GetTable(child.table));
-    BatchEmitter em(options_.batch_capacity, sink, /*budget=*/-1);
-    EvalScratch fused_scratch;
-    Status status;
-    table->Scan(options_.snapshot_epoch, [&](RowId row, const Tuple& tuple) {
-      auto v = prog.EvalRowRef(tuple, &fused_scratch);
-      if (!v.ok()) {
-        status = v.status();
-        return false;
-      }
-      std::optional<bool> t = Truthiness(**v);
-      if (!t.has_value() || !*t) return true;
-      return em.PushRef(&tuple, row);
-    });
-    XQ_RETURN_IF_ERROR(status);
-    em.Flush();
-    return Status::OK();
-  }
-  if (child.kind == PlanKind::kParallelSeqScan) {
-    // The fused parallel scan still records its per-partition post-filter
-    // counts into the child node (ExecParallelScanB writes them there).
-    if (options_.collect_stats) child.stats.fused = true;
-    return ExecParallelScanB(child, sink, /*budget=*/-1, &prog);
-  }
-  // Over a join, run the predicate on each candidate pair so rejected
-  // pairs are never concatenated (fig-query containment filters reject
-  // most of a join's output).
-  if (child.kind == PlanKind::kNestedLoopJoin) {
-    if (options_.collect_stats) child.stats.fused = true;
-    return ExecNestedLoopJoinB(child, sink, &prog);
-  }
-  if (child.kind == PlanKind::kHashJoin) {
-    if (options_.collect_stats) child.stats.fused = true;
-    return ExecHashJoinB(child, sink, &prog);
-  }
-  if (child.kind == PlanKind::kIndexNLJoin) {
-    if (options_.collect_stats) child.stats.fused = true;
-    return ExecIndexNLJoinB(child, sink, &prog);
+    return DispatchB(child, sink, /*budget=*/-1, &prog);
   }
   EvalScratch scratch;
   Status inner_status;
   XQ_RETURN_IF_ERROR(ExecB(
-      *plan.children[0],
+      child,
       [&](RowBatch& batch) {
         Status s = prog.FilterBatch(&batch, &scratch);
         if (!s.ok()) {
@@ -670,11 +658,7 @@ Status Executor::ExecProjectB(const PlanNode& plan, const BatchSink& sink,
   Status inner_status;
   // Bare column references (the common SELECT-list shape) read their slot
   // directly instead of running the interpreter per row.
-  std::vector<int> slots;
-  slots.reserve(plan.project_progs.size());
-  for (const CompiledExpr& prog : plan.project_progs) {
-    slots.push_back(prog.single_slot());
-  }
+  std::vector<int> slots = SingleSlots(plan.project_progs);
   XQ_RETURN_IF_ERROR(ExecB(
       *plan.children[0],
       [&](RowBatch& batch) {
@@ -707,29 +691,24 @@ Status Executor::ExecProjectB(const PlanNode& plan, const BatchSink& sink,
 
 Status Executor::ExecNestedLoopJoinB(const PlanNode& plan,
                                      const BatchSink& sink,
-                                     const CompiledExpr* residual) {
+                                     const CompiledExpr* pred) {
   XQ_ASSIGN_OR_RETURN(std::vector<Tuple> inner,
                       ExecuteToVector(*plan.children[1]));
-  const CompiledExpr* pred =
+  const CompiledExpr* on =
       plan.predicate_prog.has_value() ? &*plan.predicate_prog : nullptr;
   BatchEmitter em(options_.batch_capacity, sink, /*budget=*/-1);
   EvalScratch scratch;
   Status inner_status;
-  // Both the join predicate and any fused residual filter are evaluated
-  // on the (left, right) pair; only passing pairs are materialized.
-  auto pair_ok = [&](const CompiledExpr* prog, const Tuple& left,
-                     const Tuple& right, bool* ok) {
-    if (prog == nullptr) {
-      *ok = true;
-      return true;
+  // The join predicate, then any fused filter, on the (left, right) pair;
+  // only passing pairs are materialized.
+  auto pair_passes = [&](const Tuple& left,
+                         const Tuple& right) -> Result<bool> {
+    if (on != nullptr) {
+      XQ_ASSIGN_OR_RETURN(bool pass, on->Passes(left, right, &scratch));
+      if (!pass) return false;
     }
-    auto pass = PairPasses(*prog, left, right, &scratch);
-    if (!pass.ok()) {
-      inner_status = pass.status();
-      return false;
-    }
-    *ok = *pass;
-    return true;
+    if (pred == nullptr) return true;
+    return pred->Passes(left, right, &scratch);
   };
   XQ_RETURN_IF_ERROR(ExecB(
       *plan.children[0],
@@ -741,11 +720,12 @@ Status Executor::ExecNestedLoopJoinB(const PlanNode& plan,
               inner_status = DeadlineStatus();
               return false;
             }
-            bool ok = false;
-            if (!pair_ok(pred, left, right, &ok)) return false;
-            if (!ok) continue;
-            if (!pair_ok(residual, left, right, &ok)) return false;
-            if (!ok) continue;
+            auto pass = pair_passes(left, right);
+            if (!pass.ok()) {
+              inner_status = pass.status();
+              return false;
+            }
+            if (!*pass) continue;
             if (!em.PushOwned(Concat(left, right))) return false;
           }
         }
@@ -758,7 +738,7 @@ Status Executor::ExecNestedLoopJoinB(const PlanNode& plan,
 }
 
 Status Executor::ExecHashJoinB(const PlanNode& plan, const BatchSink& sink,
-                               const CompiledExpr* residual) {
+                               const CompiledExpr* pred) {
   // Build on the right child.
   XQ_ASSIGN_OR_RETURN(std::vector<Tuple> build,
                       ExecuteToVector(*plan.children[1]));
@@ -767,9 +747,7 @@ Status Executor::ExecHashJoinB(const PlanNode& plan, const BatchSink& sink,
   using JoinTable =
       std::unordered_map<CompositeKey, std::vector<size_t>,
                          rel::CompositeKeyHasher, rel::CompositeKeyEq>;
-  const common::Deadline deadline = options_.deadline;
-  const size_t build_degree = EffectiveDegree(plan, build.size());
-  const size_t parts = build_degree >= 2 ? build_degree : 1;
+  const size_t parts = EffectiveDegree(plan, build.size());
   std::vector<JoinTable> ht(parts);
   rel::CompositeKeyHasher part_hasher;
   if (parts == 1) {
@@ -778,19 +756,10 @@ Status Executor::ExecHashJoinB(const PlanNode& plan, const BatchSink& sink,
     for (size_t i = 0; i < build.size(); ++i) {
       if (DeadlineHit()) return DeadlineStatus();
       CompositeKey key;
-      bool has_null = false;
-      for (size_t j = 0; j < plan.right_key_progs.size(); ++j) {
-        XQ_ASSIGN_OR_RETURN(
-            const Value* v,
-            EvalKey(plan.right_key_progs[j], right_slots[j], build[i],
-                    &scratch));
-        if (v->is_null()) {
-          has_null = true;
-          break;
-        }
-        key.push_back(*v);
-      }
-      if (!has_null) ht[0][std::move(key)].push_back(i);
+      XQ_ASSIGN_OR_RETURN(bool joins,
+                          EvalJoinKey(plan.right_key_progs, right_slots,
+                                      build[i], &scratch, &key));
+      if (joins) ht[0][std::move(key)].push_back(i);
     }
   } else {
     // Parallel build, two phases. Phase 1: evaluate keys and hashes over
@@ -801,51 +770,26 @@ Status Executor::ExecHashJoinB(const PlanNode& plan, const BatchSink& sink,
     std::vector<CompositeKey> keys(build.size());
     std::vector<size_t> hashes(build.size());
     std::vector<uint8_t> null_key(build.size(), 0);
-    exec::MorselQueue mq(build.size(),
-                         MorselSpan(build.size(), parts, options_.morsel_rows));
-    std::vector<Status> build_status(parts);
-    Pool()->ParallelFor(parts, [&](size_t w) {
-      EvalScratch scratch;
-      uint64_t probe_ticks = 0;
-      size_t mi, first, last;
-      while (build_status[w].ok() && mq.Next(&mi, &first, &last)) {
-        for (size_t i = first; i < last; ++i) {
-          if (deadline.set() && (++probe_ticks & 255) == 0 &&
-              deadline.expired()) {
-            build_status[w] = Status::Timeout("query deadline exceeded");
-            break;
-          }
-          CompositeKey key;
-          bool has_null = false;
-          for (size_t j = 0; j < plan.right_key_progs.size(); ++j) {
-            auto v = EvalKey(plan.right_key_progs[j], right_slots[j],
-                             build[i], &scratch);
-            if (!v.ok()) {
-              build_status[w] = v.status();
-              break;
+    XQ_RETURN_IF_ERROR(RunMorsels(
+        plan, build.size(), parts,
+        [&](MorselSlot& slot, size_t, size_t first, size_t last) -> Status {
+          for (size_t i = first; i < last; ++i) {
+            if (slot.DeadlineHit()) {
+              return Status::Timeout("query deadline exceeded");
             }
-            if ((*v)->is_null()) {
-              has_null = true;  // NULL never joins
-              break;
+            XQ_ASSIGN_OR_RETURN(bool joins,
+                                EvalJoinKey(plan.right_key_progs, right_slots,
+                                            build[i], &slot.scratch,
+                                            &keys[i]));
+            if (joins) {
+              hashes[i] = part_hasher(keys[i]);
+            } else {
+              null_key[i] = 1;
             }
-            key.push_back(**v);
           }
-          if (!build_status[w].ok()) break;
-          if (has_null) {
-            null_key[i] = 1;
-            continue;
-          }
-          hashes[i] = part_hasher(key);
-          keys[i] = std::move(key);
-        }
-      }
-    });
-    for (const Status& s : build_status) {
-      if (!s.ok()) {
-        if (s.code() == common::StatusCode::kTimeout) deadline_hit_ = true;
-        return s;
-      }
-    }
+          slot.rows += last - first;
+          return Status::OK();
+        }));
     Pool()->ParallelFor(parts, [&](size_t p) {
       JoinTable& part = ht[p];
       part.reserve(build.size() / parts + 1);
@@ -857,42 +801,30 @@ Status Executor::ExecHashJoinB(const PlanNode& plan, const BatchSink& sink,
   }
 
   BatchEmitter em(options_.batch_capacity, sink, /*budget=*/-1);
-  // Per-row probe shared by the streamed, serial-vector, and parallel
-  // paths: evaluates the left key, finds the partition's matches, applies
-  // the residual, and hands each joined row to `out`. Returns false when
-  // `status` was set (error) or `out` declined more rows.
+  // Per-row probe shared by the streamed and the morsel paths: evaluates
+  // the left key, finds the partition's matches, applies the fused filter,
+  // and hands each joined row to `out`. False when `out` declined more.
   auto probe_row = [&](const Tuple& left, EvalScratch* scratch,
-                       CompositeKey* probe, Status* status,
-                       const std::function<bool(Tuple&&)>& out) {
-    probe->clear();
-    for (size_t j = 0; j < plan.left_key_progs.size(); ++j) {
-      auto v = EvalKey(plan.left_key_progs[j], left_slots[j], left, scratch);
-      if (!v.ok()) {
-        *status = v.status();
-        return false;
-      }
-      if ((*v)->is_null()) return true;  // NULL never joins
-      probe->push_back(**v);
-    }
+                       CompositeKey* probe, auto&& out) -> Result<bool> {
+    XQ_ASSIGN_OR_RETURN(bool joins, EvalJoinKey(plan.left_key_progs,
+                                                left_slots, left, scratch,
+                                                probe));
+    if (!joins) return true;
     const JoinTable& part =
         parts == 1 ? ht[0] : ht[part_hasher(*probe) % parts];
     auto it = part.find(*probe);
     if (it == part.end()) return true;
     for (size_t b : it->second) {
-      if (residual != nullptr) {
-        auto pass = PairPasses(*residual, left, build[b], scratch);
-        if (!pass.ok()) {
-          *status = pass.status();
-          return false;
-        }
-        if (!*pass) continue;
+      if (pred != nullptr) {
+        XQ_ASSIGN_OR_RETURN(bool pass, pred->Passes(left, build[b], scratch));
+        if (!pass) continue;
       }
       if (!out(Concat(left, build[b]))) return false;
     }
     return true;
   };
 
-  // Probe goes parallel only when the plan is annotated AND the pool has
+  // The probe fans out only when the plan is annotated AND the pool has
   // spare width right now; otherwise stream the left child so nothing is
   // materialized that serial execution would not have materialized.
   const bool pool_wide =
@@ -910,12 +842,15 @@ Status Executor::ExecHashJoinB(const PlanNode& plan, const BatchSink& sink,
               inner_status = DeadlineStatus();
               return false;
             }
-            if (!probe_row(batch.row(i), &scratch, &probe, &inner_status,
-                           [&](Tuple&& t) {
-                             return em.PushOwned(std::move(t));
-                           })) {
+            auto more = probe_row(batch.row(i), &scratch, &probe,
+                                  [&](Tuple&& t) {
+                                    return em.PushOwned(std::move(t));
+                                  });
+            if (!more.ok()) {
+              inner_status = more.status();
               return false;
             }
+            if (!*more) return false;
           }
           return true;
         },
@@ -925,79 +860,36 @@ Status Executor::ExecHashJoinB(const PlanNode& plan, const BatchSink& sink,
     return Status::OK();
   }
 
+  // Morsel probe over the materialized outer side: slots buffer their
+  // joined rows per morsel, emitted in morsel order — the exact sequence
+  // the streamed probe produces. Below the runtime row threshold it runs
+  // on one slot, inline.
   XQ_ASSIGN_OR_RETURN(std::vector<Tuple> outer,
                       ExecuteToVector(*plan.children[0]));
-  const size_t probe_degree = EffectiveDegree(plan, outer.size());
-  if (probe_degree < 2) {
-    Status inner_status;
-    EvalScratch scratch;
-    CompositeKey probe;
-    for (const Tuple& left : outer) {
-      if (DeadlineHit()) return DeadlineStatus();
-      if (!probe_row(left, &scratch, &probe, &inner_status, [&](Tuple&& t) {
-            return em.PushOwned(std::move(t));
-          })) {
-        XQ_RETURN_IF_ERROR(inner_status);
-        break;  // emitter declined (downstream stop)
-      }
-    }
-    em.Flush();
-    return Status::OK();
-  }
-
-  // Parallel probe: workers steal morsels of outer rows, buffer their
-  // joined rows per morsel, and the driver emits morsels in index order —
-  // the exact sequence the streamed serial probe produces.
-  exec::MorselQueue mq(outer.size(),
-                       MorselSpan(outer.size(), probe_degree,
-                                  options_.morsel_rows));
-  std::vector<std::vector<Tuple>> results(mq.num_morsels());
-  std::vector<Status> probe_status(probe_degree);
-  std::vector<uint64_t> worker_rows(probe_degree, 0);
-  std::vector<uint64_t> worker_morsels(probe_degree, 0);
-  Pool()->ParallelFor(probe_degree, [&](size_t w) {
-    EvalScratch scratch;
-    CompositeKey probe;
-    uint64_t probe_ticks = 0;
-    size_t mi, first, last;
-    while (probe_status[w].ok() && mq.Next(&mi, &first, &last)) {
-      std::vector<Tuple> out;
-      for (size_t i = first; i < last; ++i) {
-        if (deadline.set() && (++probe_ticks & 255) == 0 &&
-            deadline.expired()) {
-          probe_status[w] = Status::Timeout("query deadline exceeded");
-          break;
+  const size_t degree = EffectiveDegree(plan, outer.size());
+  std::vector<std::vector<Tuple>> results(NumMorsels(outer.size(), degree));
+  XQ_RETURN_IF_ERROR(RunMorsels(
+      plan, outer.size(), degree,
+      [&](MorselSlot& slot, size_t mi, size_t first, size_t last) -> Status {
+        CompositeKey probe;
+        std::vector<Tuple>& out = results[mi];
+        for (size_t i = first; i < last; ++i) {
+          if (slot.DeadlineHit()) {
+            return Status::Timeout("query deadline exceeded");
+          }
+          XQ_RETURN_IF_ERROR(probe_row(outer[i], &slot.scratch, &probe,
+                                       [&](Tuple&& t) {
+                                         out.push_back(std::move(t));
+                                         return true;
+                                       })
+                                 .status());
         }
-        if (!probe_row(outer[i], &scratch, &probe, &probe_status[w],
-                       [&](Tuple&& t) {
-                         out.push_back(std::move(t));
-                         return true;
-                       })) {
-          break;
-        }
-      }
-      if (!probe_status[w].ok()) break;
-      worker_rows[w] += out.size();
-      results[mi] = std::move(out);
-      ++worker_morsels[w];
-    }
-  });
-  for (const Status& s : probe_status) {
-    if (!s.ok()) {
-      if (s.code() == common::StatusCode::kTimeout) deadline_hit_ = true;
-      return s;
-    }
-  }
-  if (options_.collect_stats) {
-    plan.stats.partition_rows = worker_rows;
-    for (uint64_t m : worker_morsels) plan.stats.morsels += m;
-  }
+        slot.rows += out.size();
+        return Status::OK();
+      }));
   for (auto& morsel_rows : results) {
     for (Tuple& t : morsel_rows) {
-      if (!em.PushOwned(std::move(t))) {
-        em.Flush();
-        return Status::OK();
-      }
+      if (!em.PushOwned(std::move(t))) return Status::OK();
     }
   }
   em.Flush();
@@ -1006,7 +898,7 @@ Status Executor::ExecHashJoinB(const PlanNode& plan, const BatchSink& sink,
 
 Status Executor::ExecIndexNLJoinB(const PlanNode& plan,
                                   const BatchSink& sink,
-                                  const CompiledExpr* residual) {
+                                  const CompiledExpr* pred) {
   XQ_ASSIGN_OR_RETURN(const rel::Table* table, db_->GetTable(plan.table));
   const rel::IndexEntry& entry = *plan.index;
   const uint64_t epoch = options_.snapshot_epoch;
@@ -1016,6 +908,32 @@ Status Executor::ExecIndexNLJoinB(const PlanNode& plan,
   CompositeKey key;            // reused across rows
   std::vector<RowId> fetched;  // reused index-probe buffer
   std::vector<int> key_slots = SingleSlots(plan.outer_key_progs);
+  auto join_row = [&](const Tuple& outer) -> Result<bool> {
+    XQ_ASSIGN_OR_RETURN(bool joins, EvalJoinKey(plan.outer_key_progs,
+                                                key_slots, outer, &scratch,
+                                                &key));
+    if (!joins) return true;
+    // Coerce the probe key to the indexed column types so INT probes hit
+    // TEXT-typed keys the way a filter comparison would.
+    for (size_t k = 0; k < key.size(); ++k) {
+      ValueType want = table->schema().column(entry.column_indexes[k]).type;
+      if (key[k].type() != want) {
+        auto cast = key[k].CastTo(want);
+        if (cast.ok()) key[k] = std::move(*cast);
+      }
+    }
+    ProbeIndexEq(entry, key, &fetched);
+    return FetchVisible(
+        *table, fetched, epoch, MakeEqVerify(entry, key, epoch),
+        [&](RowId, const Tuple& inner) -> Result<bool> {
+          if (pred != nullptr) {
+            XQ_ASSIGN_OR_RETURN(bool pass,
+                                pred->Passes(outer, inner, &scratch));
+            if (!pass) return true;
+          }
+          return em.PushOwned(Concat(outer, inner));
+        });
+  };
   XQ_RETURN_IF_ERROR(ExecB(
       *plan.children[0],
       [&](RowBatch& batch) {
@@ -1024,70 +942,12 @@ Status Executor::ExecIndexNLJoinB(const PlanNode& plan,
             inner_status = DeadlineStatus();
             return false;
           }
-          const Tuple& outer = batch.row(i);
-          key.clear();
-          bool has_null = false;
-          for (size_t j = 0; j < plan.outer_key_progs.size(); ++j) {
-            auto v = EvalKey(plan.outer_key_progs[j], key_slots[j], outer,
-                             &scratch);
-            if (!v.ok()) {
-              inner_status = v.status();
-              return false;
-            }
-            if ((*v)->is_null()) {
-              has_null = true;
-              break;
-            }
-            key.push_back(**v);
+          auto more = join_row(batch.row(i));
+          if (!more.ok()) {
+            inner_status = more.status();
+            return false;
           }
-          if (has_null) continue;
-          // Coerce the probe key to the indexed column types so INT
-          // probes hit TEXT-typed keys the way a filter comparison would.
-          for (size_t k = 0; k < key.size(); ++k) {
-            ValueType want =
-                table->schema().column(entry.column_indexes[k]).type;
-            if (key[k].type() != want) {
-              auto cast = key[k].CastTo(want);
-              if (cast.ok()) key[k] = std::move(*cast);
-            }
-          }
-          fetched.clear();
-          {
-            std::shared_lock<std::shared_mutex> idx_lock(entry.latch);
-            if (entry.def.kind == rel::IndexKind::kHash) {
-              const std::vector<RowId>* rows = entry.hash->Lookup(key);
-              if (rows != nullptr) fetched = *rows;
-            } else if (key.size() == entry.def.columns.size()) {
-              fetched = entry.btree->Lookup(key);
-            } else {
-              entry.btree->ScanPrefix(
-                  key, [&](const CompositeKey&, const std::vector<RowId>& r) {
-                    fetched.insert(fetched.end(), r.begin(), r.end());
-                    return true;
-                  });
-            }
-          }
-          RowVerify verify = MakeEqVerify(entry, key, epoch);
-          for (RowId row : fetched) {
-            auto tuple = table->Get(row, epoch);
-            if (!tuple.ok()) {
-              if (tuple.status().code() == common::StatusCode::kNotFound) {
-                continue;  // invisible at the snapshot epoch
-              }
-              inner_status = tuple.status();
-              return false;
-            }
-            if (verify && !verify(**tuple)) continue;
-            if (residual != nullptr) {
-              auto pass = PairPasses(*residual, outer, **tuple, &scratch);
-              if (!pass.ok()) {
-                inner_status = pass.status();
-                return false;
-              }
-              if (!*pass) continue;
-            }
-            if (!em.PushOwned(Concat(outer, **tuple))) return false;
-          }
+          if (!*more) return false;
         }
         return true;
       },
@@ -1101,12 +961,14 @@ Status Executor::ExecSortB(const PlanNode& plan, const BatchSink& sink) {
   XQ_ASSIGN_OR_RETURN(std::vector<Tuple> rows,
                       ExecuteToVector(*plan.children[0]));
   std::vector<int> key_slots = SingleSlots(plan.sort_key_progs);
-  const size_t degree = EffectiveDegree(plan, rows.size());
+  BatchEmitter em(options_.batch_capacity, sink, /*budget=*/-1);
+  const size_t n = rows.size();
+  const size_t degree = EffectiveDegree(plan, n);
   if (degree < 2) {
     EvalScratch scratch;
     std::vector<std::pair<CompositeKey, size_t>> keyed;
-    keyed.reserve(rows.size());
-    for (size_t i = 0; i < rows.size(); ++i) {
+    keyed.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
       CompositeKey key;
       for (size_t j = 0; j < plan.sort_key_progs.size(); ++j) {
         XQ_ASSIGN_OR_RETURN(
@@ -1126,7 +988,6 @@ Status Executor::ExecSortB(const PlanNode& plan, const BatchSink& sink) {
                        }
                        return false;
                      });
-    BatchEmitter em(options_.batch_capacity, sink, /*budget=*/-1);
     for (const auto& [key, i] : keyed) {
       if (!em.PushRef(&rows[i], 0)) return Status::OK();
     }
@@ -1134,19 +995,12 @@ Status Executor::ExecSortB(const PlanNode& plan, const BatchSink& sink) {
     return Status::OK();
   }
 
-  // Parallel sort: each worker evaluates keys and sorts the morsels it
+  // Parallel sort: each slot evaluates keys and sorts the morsels it
   // steals; the driver then k-way-merges the per-morsel runs. Both stages
   // use one TOTAL order — sort keys, then original input index ascending —
   // which is exactly the sequence stable_sort yields (equal-key rows in
   // input order), so the merged output is byte-identical to serial.
-  const size_t n = rows.size();
   std::vector<CompositeKey> keys(n);
-  exec::MorselQueue mq(n, MorselSpan(n, degree, options_.morsel_rows));
-  std::vector<std::vector<size_t>> runs(mq.num_morsels());
-  std::vector<Status> worker_status(degree);
-  std::vector<uint64_t> worker_rows(degree, 0);
-  std::vector<uint64_t> worker_morsels(degree, 0);
-  const common::Deadline deadline = options_.deadline;
   auto row_less = [&](size_t a, size_t b) {
     for (size_t k = 0; k < plan.sort_keys.size(); ++k) {
       int c = Value::Compare(keys[a][k], keys[b][k]);
@@ -1154,48 +1008,26 @@ Status Executor::ExecSortB(const PlanNode& plan, const BatchSink& sink) {
     }
     return a < b;
   };
-  Pool()->ParallelFor(degree, [&](size_t w) {
-    EvalScratch scratch;
-    size_t mi, first, last;
-    while (worker_status[w].ok() && mq.Next(&mi, &first, &last)) {
-      if (deadline.set() && deadline.expired()) {
-        worker_status[w] = Status::Timeout("query deadline exceeded");
-        break;
-      }
-      std::vector<size_t> run;
-      run.reserve(last - first);
-      for (size_t i = first; i < last; ++i) {
-        CompositeKey key;
-        for (size_t j = 0; j < plan.sort_key_progs.size(); ++j) {
-          auto v =
-              EvalKey(plan.sort_key_progs[j], key_slots[j], rows[i], &scratch);
-          if (!v.ok()) {
-            worker_status[w] = v.status();
-            break;
+  std::vector<std::vector<size_t>> runs(NumMorsels(n, degree));
+  XQ_RETURN_IF_ERROR(RunMorsels(
+      plan, n, degree,
+      [&](MorselSlot& slot, size_t mi, size_t first, size_t last) -> Status {
+        std::vector<size_t> run;
+        run.reserve(last - first);
+        for (size_t i = first; i < last; ++i) {
+          for (size_t j = 0; j < plan.sort_key_progs.size(); ++j) {
+            XQ_ASSIGN_OR_RETURN(const Value* v,
+                                EvalKey(plan.sort_key_progs[j], key_slots[j],
+                                        rows[i], &slot.scratch));
+            keys[i].push_back(*v);
           }
-          key.push_back(**v);
+          run.push_back(i);
         }
-        if (!worker_status[w].ok()) break;
-        keys[i] = std::move(key);
-        run.push_back(i);
-      }
-      if (!worker_status[w].ok()) break;
-      std::sort(run.begin(), run.end(), row_less);
-      runs[mi] = std::move(run);
-      worker_rows[w] += last - first;
-      ++worker_morsels[w];
-    }
-  });
-  for (const Status& s : worker_status) {
-    if (!s.ok()) {
-      if (s.code() == common::StatusCode::kTimeout) deadline_hit_ = true;
-      return s;
-    }
-  }
-  if (options_.collect_stats) {
-    plan.stats.partition_rows = worker_rows;
-    for (uint64_t m : worker_morsels) plan.stats.morsels += m;
-  }
+        std::sort(run.begin(), run.end(), row_less);
+        runs[mi] = std::move(run);
+        slot.rows += last - first;
+        return Status::OK();
+      }));
   // K-way merge of the sorted runs under the same total order.
   struct Cursor {
     size_t run;
@@ -1210,7 +1042,6 @@ Status Executor::ExecSortB(const PlanNode& plan, const BatchSink& sink) {
     if (!runs[r].empty()) heap.push_back({r, 0});
   }
   std::make_heap(heap.begin(), heap.end(), cursor_greater);
-  BatchEmitter em(options_.batch_capacity, sink, /*budget=*/-1);
   while (!heap.empty()) {
     std::pop_heap(heap.begin(), heap.end(), cursor_greater);
     Cursor cur = heap.back();
@@ -1337,95 +1168,25 @@ Status Executor::ExecAggregateB(const PlanNode& plan, const BatchSink& sink) {
 }
 
 Status Executor::ExecDistinctB(const PlanNode& plan, const BatchSink& sink) {
-  using SeenSet = std::unordered_set<CompositeKey, rel::CompositeKeyHasher,
-                                     rel::CompositeKeyEq>;
-  const bool pool_wide =
-      plan.parallel_degree >= 2 &&
-      Pool()->AdmitDegree(static_cast<size_t>(plan.parallel_degree)) >= 2;
-  if (!pool_wide) {
-    SeenSet seen;
-    return ExecB(
-        *plan.children[0],
-        [&](RowBatch& batch) {
-          std::vector<uint32_t> next;
-          next.reserve(batch.size());
-          const std::vector<uint32_t>& sel = batch.sel();
-          for (size_t i = 0; i < sel.size(); ++i) {
-            if (seen.insert(batch.row(i)).second) next.push_back(sel[i]);
-          }
-          batch.SetSel(std::move(next));
-          if (batch.empty()) return true;
-          return sink(batch);
-        },
-        /*budget=*/-1);
-  }
-  XQ_ASSIGN_OR_RETURN(std::vector<Tuple> input,
-                      ExecuteToVector(*plan.children[0]));
-  const size_t degree = EffectiveDegree(plan, input.size());
-  BatchEmitter em(options_.batch_capacity, sink, /*budget=*/-1);
-  if (degree < 2) {
-    SeenSet seen;
-    for (const Tuple& tuple : input) {
-      if (DeadlineHit()) return DeadlineStatus();
-      if (seen.insert(tuple).second) {
-        if (!em.PushRef(&tuple, 0)) return Status::OK();
-      }
-    }
-    em.Flush();
-    return Status::OK();
-  }
-  // Parallel distinct: each worker dedups its stolen morsels locally
-  // (first-seen row indexes, in row order); the driver re-dedups the
-  // local survivors in morsel order against a global set. A value's first
-  // surviving index is its earliest input row, so output order equals the
-  // streaming-serial path.
-  const size_t n = input.size();
-  exec::MorselQueue mq(n, MorselSpan(n, degree, options_.morsel_rows));
-  std::vector<std::vector<size_t>> locals(mq.num_morsels());
-  std::vector<Status> worker_status(degree);
-  std::vector<uint64_t> worker_rows(degree, 0);
-  std::vector<uint64_t> worker_morsels(degree, 0);
-  const common::Deadline deadline = options_.deadline;
-  Pool()->ParallelFor(degree, [&](size_t w) {
-    uint64_t probe_ticks = 0;
-    size_t mi, first, last;
-    while (worker_status[w].ok() && mq.Next(&mi, &first, &last)) {
-      SeenSet seen;
-      std::vector<size_t> uniq;
-      for (size_t i = first; i < last; ++i) {
-        if (deadline.set() && (++probe_ticks & 255) == 0 &&
-            deadline.expired()) {
-          worker_status[w] = Status::Timeout("query deadline exceeded");
-          break;
+  // Streams: a row passes the first time its value is seen, so the output
+  // keeps first-seen order.
+  std::unordered_set<CompositeKey, rel::CompositeKeyHasher,
+                     rel::CompositeKeyEq>
+      seen;
+  return ExecB(
+      *plan.children[0],
+      [&](RowBatch& batch) {
+        std::vector<uint32_t> next;
+        next.reserve(batch.size());
+        const std::vector<uint32_t>& sel = batch.sel();
+        for (size_t i = 0; i < sel.size(); ++i) {
+          if (seen.insert(batch.row(i)).second) next.push_back(sel[i]);
         }
-        if (seen.insert(input[i]).second) uniq.push_back(i);
-      }
-      if (!worker_status[w].ok()) break;
-      locals[mi] = std::move(uniq);
-      worker_rows[w] += last - first;
-      ++worker_morsels[w];
-    }
-  });
-  for (const Status& s : worker_status) {
-    if (!s.ok()) {
-      if (s.code() == common::StatusCode::kTimeout) deadline_hit_ = true;
-      return s;
-    }
-  }
-  if (options_.collect_stats) {
-    plan.stats.partition_rows = worker_rows;
-    for (uint64_t m : worker_morsels) plan.stats.morsels += m;
-  }
-  SeenSet global;
-  for (const std::vector<size_t>& uniq : locals) {
-    for (size_t i : uniq) {
-      if (global.insert(input[i]).second) {
-        if (!em.PushRef(&input[i], 0)) return Status::OK();
-      }
-    }
-  }
-  em.Flush();
-  return Status::OK();
+        batch.SetSel(std::move(next));
+        if (batch.empty()) return true;
+        return sink(batch);
+      },
+      /*budget=*/-1);
 }
 
 }  // namespace xomatiq::sql

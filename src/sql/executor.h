@@ -54,12 +54,14 @@ struct ExecutorOptions {
   uint64_t snapshot_epoch = rel::kEpochMax;
 };
 
-// Plan executor. The primary pipeline is batched: operators produce and
-// consume RowBatch buffers, predicates/projections run as slot-bound
-// expression programs (CompiledExpr), and a row budget flows down through
+// Plan executor. The pipeline is batched: operators produce and consume
+// RowBatch buffers, predicates/projections run as slot-bound expression
+// programs (CompiledExpr), and a row budget flows down through
 // row-preserving operators so LIMIT over an index path still touches
-// ~limit rows. Blocking operators (sort, hash-join build, aggregate,
-// distinct) materialize internally.
+// ~limit rows. A Filter fuses into whatever scan or join sits under it.
+// Sort, the hash-join build and Aggregate materialize internally; Distinct
+// streams. Parallel scans, hash joins and sorts fan out through one morsel
+// driver.
 class Executor {
  public:
   explicit Executor(rel::Database* db, ExecutorOptions options = {})
@@ -78,7 +80,10 @@ class Executor {
 
  private:
   // --- batched pipeline; `budget` = max rows the consumer accepts
-  // (-1 unlimited), honored by leaf scans for early termination ---
+  // (-1 unlimited), honored by leaf scans for early termination. `pred`,
+  // when set, is a parent Filter fused into this node: a scan tests it on
+  // each row before the row enters a batch, a join on each candidate
+  // (left, right) pair before the joined row is built ---
   // ExecB wraps DispatchB with the per-operator stats collection
   // (collect_stats): output rows/batches are counted before the parent
   // sink sees them, so LIMIT-driven early termination still leaves every
@@ -86,32 +91,24 @@ class Executor {
   common::Status ExecB(const PlanNode& plan, const BatchSink& sink,
                        int64_t budget);
   common::Status DispatchB(const PlanNode& plan, const BatchSink& sink,
-                           int64_t budget);
+                           int64_t budget, const CompiledExpr* pred = nullptr);
+  // SeqScan and ParallelSeqScan.
   common::Status ExecScanB(const PlanNode& plan, const BatchSink& sink,
-                           int64_t budget);
-  // `pred`, when set, is a filter fused into the scan at execution time:
-  // workers evaluate it and rejected rows never enter a batch.
-  common::Status ExecParallelScanB(const PlanNode& plan,
-                                   const BatchSink& sink, int64_t budget,
-                                   const CompiledExpr* pred = nullptr);
+                           int64_t budget, const CompiledExpr* pred);
+  // IndexScan and KeywordScan.
   common::Status ExecIndexScanB(const PlanNode& plan, const BatchSink& sink,
-                                int64_t budget);
-  common::Status ExecKeywordScanB(const PlanNode& plan, const BatchSink& sink,
-                                  int64_t budget);
+                                int64_t budget, const CompiledExpr* pred);
   common::Status ExecFilterB(const PlanNode& plan, const BatchSink& sink);
   common::Status ExecProjectB(const PlanNode& plan, const BatchSink& sink,
                               int64_t budget);
-  // `residual`, when set, is a parent Filter fused into the join: it is
-  // evaluated on each candidate (left, right) pair via EvalPairRef, and
-  // failing pairs are never concatenated.
   common::Status ExecNestedLoopJoinB(const PlanNode& plan,
                                      const BatchSink& sink,
-                                     const CompiledExpr* residual = nullptr);
+                                     const CompiledExpr* pred);
   common::Status ExecHashJoinB(const PlanNode& plan, const BatchSink& sink,
-                               const CompiledExpr* residual = nullptr);
+                               const CompiledExpr* pred);
   common::Status ExecIndexNLJoinB(const PlanNode& plan,
                                   const BatchSink& sink,
-                                  const CompiledExpr* residual = nullptr);
+                                  const CompiledExpr* pred);
   common::Status ExecSortB(const PlanNode& plan, const BatchSink& sink);
   common::Status ExecLimitB(const PlanNode& plan, const BatchSink& sink);
   common::Status ExecAggregateB(const PlanNode& plan, const BatchSink& sink);
@@ -125,9 +122,33 @@ class Executor {
   // admitted share (capped at the plan's degree).
   size_t EffectiveDegree(const PlanNode& plan, size_t input_rows) const;
 
+  // One worker slot's state in a RunMorsels fan-out (executor.cc).
+  struct MorselSlot;
+  using MorselBody = std::function<common::Status(
+      MorselSlot& slot, size_t morsel, size_t begin, size_t end)>;
+  // Number of morsels RunMorsels splits `total` rows into at `degree`
+  // slots; callers size their per-morsel outputs with it.
+  size_t NumMorsels(size_t total, size_t degree) const;
+  // The one morsel driver: `degree` worker slots steal contiguous morsels
+  // of [0, total) and run `body` on each. Morsel indexes follow input
+  // order, so callers reassemble per-morsel outputs in that order. Probes
+  // the deadline before every morsel, returns the first slot failure (a
+  // timeout also trips deadline_hit_), and publishes per-slot rows and the
+  // morsel count into plan.stats when collecting stats. One slot runs
+  // inline on the calling thread.
+  common::Status RunMorsels(const PlanNode& plan, size_t total, size_t degree,
+                            const MorselBody& body);
+
   // Strided cooperative deadline probe for hot loops: one counter increment
   // per call, one clock read every 1024 calls. Sticky once expired.
-  bool DeadlineHit();
+  bool DeadlineHit() {
+    if (deadline_hit_) return true;
+    if (!options_.deadline.set() || (++deadline_probe_ & 1023) != 0) {
+      return false;
+    }
+    deadline_hit_ = options_.deadline.expired();
+    return deadline_hit_;
+  }
   common::Status DeadlineStatus() const;
 
   rel::Database* db_;

@@ -53,20 +53,6 @@ Value BoolValue(bool b) { return Value::Int(b ? 1 : 0); }
 }  // namespace
 
 // NULL-aware truthiness; NULL -> nullopt.
-std::optional<bool> Truthiness(const Value& v) {
-  switch (v.type()) {
-    case ValueType::kNull:
-      return std::nullopt;
-    case ValueType::kInt:
-      return v.AsInt() != 0;
-    case ValueType::kDouble:
-      return v.AsDouble() != 0;
-    case ValueType::kText:
-      return !v.AsText().empty();
-  }
-  return std::nullopt;
-}
-
 namespace {
 
 Result<Value> EvalComparison(BinaryOp op, const Value& l, const Value& r) {

@@ -15,8 +15,20 @@ common::Status Bind(Expr* e, const rel::Schema& schema,
                     bool allow_aggregates = false);
 
 // NULL-aware truthiness of a value; NULL -> nullopt. Booleans are INT
-// 0/1.
-std::optional<bool> Truthiness(const rel::Value& v);
+// 0/1. Inline: predicates test it once per row.
+inline std::optional<bool> Truthiness(const rel::Value& v) {
+  switch (v.type()) {
+    case rel::ValueType::kNull:
+      return std::nullopt;
+    case rel::ValueType::kInt:
+      return v.AsInt() != 0;
+    case rel::ValueType::kDouble:
+      return v.AsDouble() != 0;
+    case rel::ValueType::kText:
+      return !v.AsText().empty();
+  }
+  return std::nullopt;
+}
 
 // Scalar binary evaluation (comparison, arithmetic, concat) with SQL NULL
 // propagation. kAnd/kOr are control flow, not scalar ops, and are rejected.

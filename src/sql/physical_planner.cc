@@ -46,12 +46,13 @@ void CollectRefs(const Expr& e, std::vector<const Expr*>* out) {
 }
 
 // Degree the planner may hand a parallel operator: the configured override
-// or hardware concurrency; 0 = parallelism unavailable, stay serial.
+// or hardware concurrency (asked once per process); 0 = parallelism
+// unavailable, stay serial.
 int ConfiguredDegree(const PlannerOptions& options) {
-  int degree = options.parallel_degree;
-  if (degree <= 0) {
-    degree = static_cast<int>(std::thread::hardware_concurrency());
-  }
+  static const int hardware =
+      static_cast<int>(std::thread::hardware_concurrency());
+  int degree = options.parallel_degree > 0 ? options.parallel_degree
+                                           : hardware;
   return degree >= 2 ? degree : 0;
 }
 
@@ -86,23 +87,19 @@ uint64_t LargestBaseInput(const PlanNode& node, const rel::Database* db) {
   return best;
 }
 
-// Rule per-operator DOP: pipeline breakers fed by a big base input get a
-// parallel degree; small inputs stay serial. The annotation is permission,
-// not obligation — the executor re-checks actual row counts and pool width
-// at run time before fanning out. Aggregates always stream serially:
-// merging per-morsel partials lost to the serial fold.
+// Rule per-operator DOP: hash joins and sorts fed by a big base input get
+// a parallel degree; small inputs stay serial. The annotation is
+// permission, not obligation — the executor re-checks actual row counts
+// and pool width at run time before fanning out. Aggregates and Distinct
+// always stream serially: merging per-morsel partials lost to the serial
+// fold, and a parallel Distinct hashed every row twice.
 void AnnotateParallelOps(PlanNode* node, const rel::Database* db,
                          const PlannerOptions& options) {
   for (const PlanPtr& child : node->children) {
     AnnotateParallelOps(child.get(), db, options);
   }
-  switch (node->kind) {
-    case PlanKind::kHashJoin:
-    case PlanKind::kSort:
-    case PlanKind::kDistinct:
-      break;
-    default:
-      return;
+  if (node->kind != PlanKind::kHashJoin && node->kind != PlanKind::kSort) {
+    return;
   }
   if (LargestBaseInput(*node, db) < options.parallel_scan_threshold) return;
   node->parallel_degree = ConfiguredDegree(options);
@@ -998,9 +995,7 @@ Result<PlanPtr> PhysicalPlanner::LowerOp(const LogicalOp& op) {
     }
     case LogicalKind::kDistinct: {
       node->kind = PlanKind::kDistinct;
-      if (costed_) {
-        cost += PriceMaybeParallel(cm, options_, in_rows, 0.0, node.get());
-      }
+      cost += in_rows;
       out_rows = std::max(1.0, in_rows * 0.5);
       break;
     }

@@ -33,9 +33,15 @@ std::string StatsSuffix(const PlanNode& node) {
   const OpStats& st = node.stats;
   std::string out;
   if (st.fused) {
-    // A fused parallel scan still reports its workers' rows and morsels.
     out = " (fused into parent";
-    if (!st.partition_rows.empty()) out += ";";
+    // A fused scan (a leaf) still shows the rows it produced before the
+    // predicate; a fused parallel operator also its workers' rows and
+    // morsels.
+    if (node.children.empty()) {
+      out += "; actual rows=" + std::to_string(st.rows_out);
+    } else if (!st.partition_rows.empty()) {
+      out += ";";
+    }
   } else {
     char ms[32];
     std::snprintf(ms, sizeof ms, "%.3f", static_cast<double>(st.ns) / 1e6);
@@ -157,8 +163,7 @@ std::string PlanNode::ToString(int indent, bool analyze) const {
   // Parallel-annotated pipeline breakers advertise their planned degree
   // (ParallelSeqScan prints it inline above).
   if (parallel_degree >= 2 &&
-      (kind == PlanKind::kHashJoin || kind == PlanKind::kSort ||
-       kind == PlanKind::kDistinct)) {
+      (kind == PlanKind::kHashJoin || kind == PlanKind::kSort)) {
     out += " workers=" + std::to_string(parallel_degree);
   }
   if (est_rows >= 0) {

@@ -26,9 +26,10 @@ struct OpStats {
   // input AND everything downstream consuming its output; compare rows
   // across siblings, and read time top-down (root time = query time).
   uint64_t ns = 0;
-  // Set when execution-time fusion ran this operator inside its parent
-  // (filter into scan/join); its own emission counters then stay zero and
-  // the fused work is credited to the parent's counters.
+  // Set when a parent Filter ran fused into this scan or join. A fused
+  // scan's rows_out still counts the rows it produced before the
+  // predicate; its other counters, and all of a fused join's, stay zero:
+  // the work is credited to the Filter.
   bool fused = false;
   // Parallel operators: rows processed per worker slot (skew view).
   std::vector<uint64_t> partition_rows;
@@ -116,7 +117,8 @@ struct PlanNode {
   std::vector<ExprPtr> group_exprs;
   std::vector<AggSpec> aggs;
 
-  // kParallelSeqScan worker count (>= 2 when chosen by the planner).
+  // Planned worker count of a kParallelSeqScan, kHashJoin or kSort
+  // (>= 2 when the planner chose to fan it out).
   int parallel_degree = 0;
 
   // Optimizer estimates, set only when the plan was costed (-1 = planned
@@ -126,9 +128,9 @@ struct PlanNode {
   double est_rows = -1;
   double est_cost = -1;
 
-  // Slot-bound expression programs compiled from the fields above by
-  // CompilePlanPrograms (planner.cc); the executor evaluates these. The
-  // ExprPtr originals are kept for EXPLAIN.
+  // Slot-bound expression programs compiled from the fields above when
+  // Planner::PlanSelect returns the plan; the executor evaluates these.
+  // The ExprPtr originals are kept for EXPLAIN.
   std::optional<CompiledExpr> predicate_prog;
   std::vector<CompiledExpr> project_progs;
   std::vector<CompiledExpr> left_key_progs;
@@ -138,9 +140,9 @@ struct PlanNode {
   std::vector<CompiledExpr> group_progs;
   std::vector<std::optional<CompiledExpr>> agg_arg_progs;
 
-  // Execution actuals (EXPLAIN ANALYZE). Mutable for the same reason the
-  // compiled programs are filled through a const plan: stats are an
-  // execution-time cache, not part of the plan's logical identity.
+  // Execution actuals (EXPLAIN ANALYZE). Mutable: the executor runs a
+  // const plan, and stats are an execution-time record, not part of the
+  // plan's logical identity.
   mutable OpStats stats;
 
   // Zeroes stats on this node and every descendant.

@@ -24,8 +24,8 @@ enum class PlannerMode {
 // Planner tuning knobs.
 struct PlannerOptions {
   // A filtered sequential scan over a table with at least this many slots
-  // may become a kParallelSeqScan; the rules also annotate hash joins,
-  // sorts and distincts over such a scan. Defaults high enough that
+  // may become a kParallelSeqScan; the rules also annotate hash joins and
+  // sorts over such a scan. Defaults high enough that
   // unit-test-sized tables keep their SeqScan plans.
   size_t parallel_scan_threshold = 1 << 16;
   // Worker count for parallel scans: 0 = hardware concurrency. Parallel
@@ -69,11 +69,6 @@ class Planner {
   rel::Database* db_;
   PlannerOptions options_;
 };
-
-// Compiles every bound expression of `plan` (and its children) into the
-// slot-bound programs the batched executor evaluates (plan->*_progs).
-// PlanSelect calls this on its result; exposed for hand-built plans.
-common::Status CompilePlanPrograms(PlanNode* plan);
 
 }  // namespace xomatiq::sql
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <thread>
+
 #include "sql/engine.h"
 
 namespace xomatiq::sql {
@@ -410,6 +413,118 @@ TEST_F(ExecutorTest, ExplainAnalyzeFusedFilterIsLabeled) {
   EXPECT_NE(r.explain_text.find("(fused into parent"), std::string::npos)
       << r.explain_text;
   EXPECT_EQ(ActualRows(r.explain_text, "Filter"), 2u);
+}
+
+// The EXPLAIN line naming operator `op` ("" when none does).
+std::string PlanLine(const std::string& text, const std::string& op) {
+  size_t line = text.find(op);
+  if (line == std::string::npos) return "";
+  size_t bol = text.rfind('\n', line);
+  bol = bol == std::string::npos ? 0 : bol + 1;
+  return text.substr(bol, text.find('\n', line) - bol);
+}
+
+// kv: 60 rows, k = id % 3 under a hash index, val = id, and an inverted
+// index over body, which says 'kinase' on even ids.
+void CreateKv(const std::function<void(const std::string&)>& run) {
+  run("CREATE TABLE kv (id INT, k INT, val INT, body TEXT)");
+  std::string sql = "INSERT INTO kv VALUES ";
+  for (int id = 0; id < 60; ++id) {
+    if (id > 0) sql += ", ";
+    sql += "(" + std::to_string(id) + ", " + std::to_string(id % 3) + ", " +
+           std::to_string(id) + ", '" +
+           (id % 2 == 0 ? "cdc6 kinase" : "helicase") + "')";
+  }
+  run(sql);
+  run("CREATE INDEX kv_k ON kv (k) USING HASH");
+  run("CREATE INDEX kv_body ON kv (body) USING INVERTED");
+}
+
+TEST_F(ExecutorTest, FilterFusesIntoIndexAndKeywordScans) {
+  CreateKv([this](const std::string& sql) { Run(sql); });
+  struct Case {
+    std::string sql;
+    std::string scan;
+    uint64_t scanned;  // rows the index probe yields before the residual
+    size_t result;
+  };
+  const Case cases[] = {
+      {"SELECT id FROM kv WHERE k = 1 AND val > 30", "IndexScan", 20, 10},
+      {"SELECT id FROM kv WHERE CONTAINS(body, 'kinase') AND val > 30",
+       "KeywordScan", 30, 14},
+  };
+  for (const Case& c : cases) {
+    QueryResult want = Query(c.sql);
+    EXPECT_EQ(want.rows.size(), c.result) << c.sql;
+    QueryResult r = Query("EXPLAIN ANALYZE " + c.sql);
+    const std::string& text = r.explain_text;
+    // The residual runs inside the index scan, which still shows the
+    // rows it fetched before the predicate.
+    EXPECT_NE(PlanLine(text, c.scan).find("(fused into parent"),
+              std::string::npos)
+        << text;
+    EXPECT_EQ(ActualRows(text, c.scan), c.scanned) << text;
+    EXPECT_EQ(ActualRows(text, "Filter"), want.rows.size()) << text;
+  }
+}
+
+TEST_F(ExecutorTest, FusedIndexScanReadsPinnedSnapshot) {
+  CreateKv([this](const std::string& sql) { Run(sql); });
+  const std::string q = "SELECT id FROM kv WHERE k = 1 AND val > 30";
+  QueryResult plan = Query("EXPLAIN ANALYZE " + q);
+  ASSERT_NE(PlanLine(plan.explain_text, "IndexScan").find("(fused"),
+            std::string::npos)
+      << plan.explain_text;
+  rel::Snapshot snap = db_->BeginSnapshot();
+  common::QueryRequest pinned = common::QueryRequest::Sql(q);
+  pinned.read_epoch = snap.epoch();
+  auto before = engine_->Execute(pinned);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  ASSERT_EQ(before->rows.size(), 10u);
+  // Move two matching rows off the probed key and one more onto it. The
+  // writer runs on its own thread, as it would beside a pinned reader;
+  // this thread holds the snapshot.
+  std::thread writer([this] {
+    Run("UPDATE kv SET k = 2 WHERE id = 31 OR id = 34");
+    Run("UPDATE kv SET k = 1 WHERE id = 33");
+  });
+  writer.join();
+  auto after = engine_->Execute(pinned);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  ASSERT_EQ(after->rows.size(), before->rows.size());
+  for (size_t i = 0; i < before->rows.size(); ++i) {
+    EXPECT_EQ(after->rows[i][0].AsInt(), before->rows[i][0].AsInt());
+  }
+  EXPECT_EQ(Query(q).rows.size(), 9u);
+}
+
+TEST_F(ExecutorTest, FilteredSerialScanHonorsDeadline) {
+  // 20,000 rows (below the parallel-scan threshold) of ~40 words each,
+  // which the CONTAINS predicate tokenizes row by row: the filtered scan
+  // runs far longer than the 1 ms budget and must stop with kTimeout
+  // instead of finishing.
+  Run("CREATE TABLE docs (id INT, body TEXT)");
+  std::string body;
+  for (int w = 0; w < 40; ++w) body += "word" + std::to_string(w) + " ";
+  for (int base = 0; base < 20000; base += 500) {
+    std::string sql = "INSERT INTO docs VALUES ";
+    for (int id = base; id < base + 500; ++id) {
+      if (id > base) sql += ", ";
+      sql += "(" + std::to_string(id) + ", '" + body + "')";
+    }
+    Run(sql);
+  }
+  const std::string q =
+      "SELECT id FROM docs WHERE CONTAINS(body, 'zzz') OR "
+      "CONTAINS(body, 'yyy')";
+  ASSERT_NE(Query("EXPLAIN " + q).explain_text.find("SeqScan docs"),
+            std::string::npos);
+  common::QueryOptions opts;
+  opts.deadline_ms = 1;
+  auto r = engine_->Execute(common::QueryRequest::Sql(q, opts));
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), common::StatusCode::kTimeout)
+      << r.status().ToString();
 }
 
 TEST_F(ExecutorTest, ExplainAnalyzeLimitFinalizesMidBatchStats) {

@@ -1,9 +1,9 @@
 // Differential suite for morsel-driven parallel execution: every parallel
-// operator (scan, hash join build/probe, sort, distinct) must produce
-// byte-identical rows — values AND order — to the serial executor,
-// including under a pinned MVCC snapshot with concurrent DML, and an
-// expired deadline must surface as a typed kTimeout from parallel plans.
-// Aggregates always run serially, over parallel inputs.
+// operator (scan, hash join build/probe, sort) must produce byte-identical
+// rows — values AND order — to the serial executor, including under a
+// pinned MVCC snapshot with concurrent DML, and an expired deadline must
+// surface as a typed kTimeout from parallel plans. Aggregates and Distinct
+// always run serially, over parallel inputs.
 //
 // The corpus uses dyadic doubles (multiples of 0.25) so SUM/AVG are exact
 // in any summation order, making double aggregates comparable bit-for-bit
@@ -145,6 +145,21 @@ TEST_F(ParallelExecTest, HashJoinMatchesSerial) {
       << "parallel plan expected:\n"
       << Explain(q);
   ExpectSame(q);
+  // A probe side below the runtime row threshold (16): the annotated join
+  // materializes it and probes on one slot, through the same driver.
+  const std::string small =
+      "SELECT b.id, d.id, d.name FROM big b, dim d "
+      "WHERE b.grp = d.grp AND b.id < 12 AND d.val > 900";
+  ASSERT_NE(PlanLine(Explain(small), "HashJoin").find("workers="),
+            std::string::npos)
+      << Explain(small);
+  auto analyzed = parallel_->Execute("EXPLAIN ANALYZE " + small);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  const std::string join = PlanLine(analyzed->explain_text, "HashJoin");
+  EXPECT_NE(join.find("partitions=["), std::string::npos)
+      << analyzed->explain_text;
+  EXPECT_EQ(join.find(", "), std::string::npos) << analyzed->explain_text;
+  ExpectSame(small);
 }
 
 TEST_F(ParallelExecTest, AggregationMatchesSerialIncludingGroupOrder) {
@@ -176,8 +191,15 @@ TEST_F(ParallelExecTest, SortMatchesSerialIncludingTieOrder) {
 }
 
 TEST_F(ParallelExecTest, DistinctMatchesSerialIncludingFirstSeenOrder) {
-  const std::string q = "SELECT DISTINCT tag, grp FROM big";
-  EXPECT_NE(Explain(q).find("workers="), std::string::npos);
+  // Distinct always streams; the WHERE (which keeps ~99% of the rows)
+  // gives its input scan a filter to fuse, so a parallel scan still feeds
+  // it and must deliver rows in serial order to keep first-seen order.
+  const std::string q = "SELECT DISTINCT tag, grp FROM big WHERE val > 10";
+  const std::string plan = Explain(q);
+  const std::string distinct = PlanLine(plan, "Distinct");
+  ASSERT_FALSE(distinct.empty()) << plan;
+  EXPECT_EQ(distinct.find("workers="), std::string::npos) << plan;
+  EXPECT_NE(plan.find("workers="), std::string::npos) << plan;
   ExpectSame(q);
 }
 
