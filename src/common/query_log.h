@@ -100,7 +100,7 @@ void AppendQueryLogRecordJson(std::string* out, const QueryLogRecord& rec);
 //
 // The outermost scope owns the record and appends it to QueryLog::Global()
 // on destruction; scopes nested inside it (e.g. SqlEngine::Execute under
-// QueryService::Handle) are no-op observers, so the same record is shared
+// Session::Handle) are no-op observers, so the same record is shared
 // down the stack via Current(). When the log is disabled, no scope arms
 // and Current() stays null — annotation sites must tolerate that.
 class QueryLogScope {

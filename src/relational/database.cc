@@ -342,6 +342,7 @@ Status Database::CreateTable(const std::string& name, Schema schema) {
     std::unique_lock<std::shared_mutex> barrier(ddl_latch_);
     XQ_RETURN_IF_ERROR(CreateTableInternal(name, schema));
   }
+  MarkDirty();
   BinaryWriter w;
   w.PutU8(static_cast<uint8_t>(Op::kCreateTable));
   w.PutString(name);
@@ -370,6 +371,7 @@ Status Database::DropTable(const std::string& name) {
     std::unique_lock<std::shared_mutex> barrier(ddl_latch_);
     XQ_RETURN_IF_ERROR(DropTableInternal(name));
   }
+  MarkDirty();
   BinaryWriter w;
   w.PutU8(static_cast<uint8_t>(Op::kDropTable));
   w.PutString(name);
@@ -396,6 +398,7 @@ Status Database::CreateIndex(const IndexDef& def) {
     std::unique_lock<std::shared_mutex> barrier(ddl_latch_);
     XQ_RETURN_IF_ERROR(CreateIndexInternal(def));
   }
+  MarkDirty();
   BinaryWriter w;
   w.PutU8(static_cast<uint8_t>(Op::kCreateIndex));
   EncodeIndexDef(def, &w);
@@ -489,6 +492,7 @@ Status Database::DropIndex(const std::string& index_name) {
     std::unique_lock<std::shared_mutex> barrier(ddl_latch_);
     XQ_RETURN_IF_ERROR(DropIndexInternal(index_name));
   }
+  MarkDirty();
   BinaryWriter w;
   w.PutU8(static_cast<uint8_t>(Op::kDropIndex));
   w.PutString(index_name);
@@ -901,56 +905,6 @@ Status Database::ReplayRecord(std::string_view payload) {
       XQ_ASSIGN_OR_RETURN(std::string table, r.GetString());
       XQ_ASSIGN_OR_RETURN(TableStats stats, DecodeTableStats(&r));
       return SetStatsInternal(table, std::move(stats));
-    }
-  }
-  return Status::Corruption("bad WAL op tag " + std::to_string(tag));
-}
-
-Result<Database::WalRecordSummary> Database::SummarizeWalRecord(
-    std::string_view payload) {
-  BinaryReader r(payload);
-  WalRecordSummary s;
-  XQ_ASSIGN_OR_RETURN(uint8_t tag, r.GetU8());
-  switch (static_cast<Op>(tag)) {
-    case Op::kCreateTable:
-    case Op::kDropTable: {
-      XQ_ASSIGN_OR_RETURN(s.table, r.GetString());
-      return s;
-    }
-    case Op::kCreateIndex: {
-      XQ_ASSIGN_OR_RETURN(IndexDef def, DecodeIndexDef(&r));
-      s.table = def.table;
-      return s;
-    }
-    case Op::kDropIndex:
-      return s;  // only the index name is recorded; no single table
-    case Op::kInsert: {
-      s.is_dml = true;
-      s.is_insert_or_update = true;
-      XQ_ASSIGN_OR_RETURN(s.table, r.GetString());
-      XQ_ASSIGN_OR_RETURN(s.tuple, DecodeTuple(&r));
-      return s;
-    }
-    case Op::kDelete: {
-      s.is_dml = true;
-      XQ_ASSIGN_OR_RETURN(s.table, r.GetString());
-      XQ_ASSIGN_OR_RETURN(s.row, r.GetU64());
-      s.has_row = true;
-      return s;
-    }
-    case Op::kUpdate: {
-      s.is_dml = true;
-      s.is_insert_or_update = true;
-      XQ_ASSIGN_OR_RETURN(s.table, r.GetString());
-      XQ_ASSIGN_OR_RETURN(s.row, r.GetU64());
-      s.has_row = true;
-      XQ_ASSIGN_OR_RETURN(s.tuple, DecodeTuple(&r));
-      return s;
-    }
-    case Op::kSetStats: {
-      s.is_stats = true;
-      XQ_ASSIGN_OR_RETURN(s.table, r.GetString());
-      return s;
     }
   }
   return Status::Corruption("bad WAL op tag " + std::to_string(tag));

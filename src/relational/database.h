@@ -6,7 +6,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <shared_mutex>
 #include <string>
@@ -112,7 +111,8 @@ class Database {
   static common::Result<std::unique_ptr<Database>> Open(
       const std::string& dir, DbOptions options = {});
 
-  // --- DDL (each op takes the snapshot barrier internally) ---
+  // --- DDL (each op takes the snapshot barrier internally and, like DML,
+  // publishes an epoch with its batch) ---
   common::Status CreateTable(const std::string& name, Schema schema);
   common::Status DropTable(const std::string& name);
   common::Status CreateIndex(const IndexDef& def);
@@ -241,21 +241,6 @@ class Database {
   // recovers like a primary's.
   common::Status ApplyReplicated(uint64_t lsn, std::string_view payload);
 
-  // Decoded header of one WAL record, for observers that must know what a
-  // record touches without applying it (the replica applier maps shipped
-  // records to result-cache invalidations this way).
-  struct WalRecordSummary {
-    bool is_dml = false;              // insert / delete / update
-    bool is_insert_or_update = false; // `tuple` holds the stored row
-    bool is_stats = false;            // ANALYZE output; touches no data
-    std::string table;                // empty when no single table applies
-    std::optional<Tuple> tuple;
-    RowId row = 0;                    // valid when has_row
-    bool has_row = false;             // delete / update carry a row id
-  };
-  static common::Result<WalRecordSummary> SummarizeWalRecord(
-      std::string_view payload);
-
   // --- concurrency ---
   // The WRITE latch: serializes mutators (and EncodeState, which takes it
   // shared to fence writers). Readers never acquire it — take
@@ -319,7 +304,8 @@ class Database {
 
   // Snapshot registry (Snapshot ctor/dtor).
   void ReleaseSnapshot(uint64_t epoch) const;
-  // Marks the in-flight batch dirty (rows were stamped at write_epoch()).
+  // Marks the in-flight batch dirty (rows were stamped at write_epoch(),
+  // or the catalog changed): its release publishes a new epoch.
   void MarkDirty() { batch_dirty_ = true; }
   // Publishes the in-flight epoch (if dirty) and runs reclamation when
   // the garbage threshold is crossed. Called by WriteGuard on release and
@@ -393,8 +379,8 @@ class Database {
 // publishes the batch's epoch (making every row stamped inside visible to
 // new snapshots atomically), triggers version reclamation when due, and
 // only THEN runs callbacks queued with Defer() — after the latch is
-// dropped, so deferred work (change-event fan-out, cache invalidation)
-// may issue queries or re-enter the database without deadlocking.
+// dropped, so deferred work (change-event fan-out) may issue queries or
+// re-enter the database without deadlocking.
 class WriteGuard {
  public:
   explicit WriteGuard(Database* db) : db_(db), lock_(db->latch_) {

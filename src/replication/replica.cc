@@ -14,7 +14,6 @@
 #include "common/metrics.h"
 #include "common/string_util.h"
 #include "common/trace.h"
-#include "datahounds/generic_schema.h"
 #include "server/protocol.h"
 
 namespace xomatiq::repl {
@@ -311,7 +310,6 @@ Status ReplicaApplier::HandleSnapshot(const ReplMsg& msg) {
     rel::WriteGuard guard(db_);
     XQ_RETURN_IF_ERROR(db_->InstallReplicaState(msg.payload).status());
   }
-  if (options_.invalidate) options_.invalidate("");
   {
     std::lock_guard<std::mutex> lk(mu_);
     ++snapshots_installed_;
@@ -331,50 +329,13 @@ Status ReplicaApplier::HandleRecord(const ReplMsg& msg) {
   static common::Histogram* apply_hist =
       common::MetricsRegistry::Global().GetHistogram("repl.apply");
 
-  // Decide the cache invalidation before applying: a delete's collection
-  // can only be read from the still-present row. nullopt = cache untouched,
-  // "" = clear everything, otherwise the collection tag.
-  std::optional<std::string> invalidation;
-  Result<rel::Database::WalRecordSummary> summary =
-      rel::Database::SummarizeWalRecord(msg.payload);
   {
     common::TraceSpan span("repl.apply", apply_hist);
     // WriteGuard: replica reads run under snapshots, so each applied
     // record becomes visible atomically on guard release — concurrent
     // with, never blocking, replica-side readers.
     rel::WriteGuard guard(db_);
-    if (!summary.ok()) {
-      invalidation = "";  // unknown record shape: evict everything
-    } else if (summary->is_stats) {
-      // ANALYZE output touches no data; cached results stay valid.
-    } else if (summary->is_dml && summary->table == hounds::kDocumentTable) {
-      // Document-table ops carry (or point at) the collection tag.
-      if (summary->is_insert_or_update && summary->tuple &&
-          summary->tuple->size() > 1 &&
-          (*summary->tuple)[1].type() == rel::ValueType::kText) {
-        invalidation = (*summary->tuple)[1].AsText();
-      } else if (summary->has_row) {
-        invalidation = "";
-        if (Result<rel::Table*> table = db_->GetTable(summary->table);
-            table.ok()) {
-          if (Result<const rel::Tuple*> row = (*table)->Get(summary->row);
-              row.ok() && (*row)->size() > 1 &&
-              (**row)[1].type() == rel::ValueType::kText) {
-            invalidation = (**row)[1].AsText();
-          }
-        }
-      } else {
-        invalidation = "";
-      }
-    } else {
-      // Any other table (shredded node/text rows, user SQL tables) or DDL:
-      // evict everything rather than reason about reachability.
-      invalidation = "";
-    }
     XQ_RETURN_IF_ERROR(db_->ApplyReplicated(msg.lsn, msg.payload));
-  }
-  if (invalidation && options_.invalidate) {
-    options_.invalidate(*invalidation);
   }
   {
     std::lock_guard<std::mutex> lk(mu_);

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -32,12 +31,6 @@ struct ReplicaApplierOptions {
   uint32_t stale_after_ms = 3000;
 
   size_t max_frame_bytes = kReplMaxFrameBytes;
-
-  // Result-cache hook, invoked after records apply: the collection whose
-  // cached results are now stale, or "" for everything. Wired to
-  // srv::ResultCache by the embedder; the callback keeps this library
-  // free of a server dependency. May be empty.
-  std::function<void(const std::string&)> invalidate;
 };
 
 // Point-in-time view of the applier, for /statusz and tests.

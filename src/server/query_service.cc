@@ -61,28 +61,13 @@ QueryService::QueryService(hounds::Warehouse* warehouse,
                            ServiceOptions options)
     : warehouse_(warehouse),
       xomatiq_(warehouse),
-      options_(std::move(options)) {
-  // Session id 0 = the internal "sessionless" session behind Handle().
-  default_session_ = std::shared_ptr<Session>(new Session(this, 0));
-  if (options_.cache != nullptr) {
-    // Weak capture: the subscription is never removed (see
-    // Warehouse::Subscribe), but the cache may be dropped first.
-    std::weak_ptr<ResultCache> weak = options_.cache;
-    warehouse_->Subscribe([weak](const hounds::ChangeEvent& event) {
-      if (auto cache = weak.lock()) cache->Invalidate(event.collection);
-    });
-  }
-}
+      options_(std::move(options)) {}
 
 QueryService::~QueryService() = default;
 
 std::shared_ptr<Session> QueryService::StartSession() {
   uint64_t id = next_session_id_.fetch_add(1, std::memory_order_relaxed);
   return std::shared_ptr<Session>(new Session(this, id));
-}
-
-std::string QueryService::Handle(const Request& request) {
-  return default_session_->Handle(request);
 }
 
 std::string QueryService::LastTraceJson() const {
@@ -178,11 +163,9 @@ std::string QueryService::HandleSql(const Request& request,
   const bool cacheable = cache != nullptr && keyword == "select" &&
                          !opts.bypass_cache && read_epoch.has_value();
   std::string key;
-  uint64_t generation = 0;
   if (cacheable) {
     key = ResultCache::MakeKey(static_cast<uint8_t>(request.mode),
                                request.text, *read_epoch);
-    generation = cache->generation();
     if (std::optional<std::string> body = cache->Lookup(key)) {
       if (auto* rec = common::QueryLogScope::Current()) rec->cache_hit = true;
       return ServeCached(request.id, *std::move(body));
@@ -207,19 +190,12 @@ std::string QueryService::HandleSql(const Request& request,
     response.kind = PayloadKind::kText;
     response.text = "OK (" + std::to_string(result->affected) + " rows)";
   }
-  // Commit LSN for writes, serving position for reads. A cached body keeps
-  // the LSN it was built at — older, but the result is still exactly what
-  // that position held (the cache would have evicted it otherwise).
+  // Commit LSN for writes, serving position for reads. A hit re-serves
+  // the LSN its body was built with: older, but the rows are exactly those
+  // of the epoch the hit pinned, which the key names.
   response.lsn = warehouse_->db()->durable_lsn();
   std::string body = EncodeResponseBody(response);
-  if (cacheable) {
-    // SQL entries carry no collection tags: table-level dependencies are
-    // not tracked, so they die on any warehouse change.
-    cache->Insert(key, body, /*tags=*/{}, generation);
-  } else if (cache != nullptr && IsSqlMutation(keyword)) {
-    // A write went through this service; everything cached may be stale.
-    cache->Clear();
-  }
+  if (cacheable) cache->Insert(key, *read_epoch, body);
   return Finish(request.id, std::move(body));
 }
 
@@ -230,11 +206,9 @@ std::string QueryService::HandleXq(const Request& request, bool as_xml,
   const bool use_cache =
       cache != nullptr && !opts.bypass_cache && read_epoch.has_value();
   std::string key;
-  uint64_t generation = 0;
   if (use_cache) {
     key = ResultCache::MakeKey(static_cast<uint8_t>(request.mode),
                                request.text, *read_epoch);
-    generation = cache->generation();
     if (std::optional<std::string> body = cache->Lookup(key)) {
       if (auto* rec = common::QueryLogScope::Current()) rec->cache_hit = true;
       return ServeCached(request.id, *std::move(body));
@@ -259,9 +233,7 @@ std::string QueryService::HandleXq(const Request& request, bool as_xml,
   }
   response.lsn = warehouse_->db()->durable_lsn();
   std::string body = EncodeResponseBody(response);
-  if (use_cache) {
-    cache->Insert(key, body, std::move(result->collections), generation);
-  }
+  if (use_cache) cache->Insert(key, *read_epoch, body);
   return Finish(request.id, std::move(body));
 }
 

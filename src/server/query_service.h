@@ -22,9 +22,9 @@
 namespace xomatiq::srv {
 
 struct ServiceOptions {
-  // Shared result cache; null disables caching. The service subscribes
-  // cache invalidation to the warehouse's ChangeEvents (holding only a
-  // weak_ptr, so the cache may die before the warehouse).
+  // Result cache of this service's database; null disables caching.
+  // Entries are keyed and invalidated by snapshot epoch (see
+  // ResultCache), so a cache must not be shared across databases.
   std::shared_ptr<ResultCache> cache;
   // Honor "#sleep <ms>" PING payloads. Test-only: lets a test pin a
   // worker for a deterministic interval to fill the admission queue.
@@ -75,10 +75,6 @@ class QueryService {
   // connection; its Handle() is the request entry point.
   std::shared_ptr<Session> StartSession();
 
-  // Back-compat one-shot entry point: routes through an internal
-  // "sessionless" Session (id 0). Same semantics as Session::Handle.
-  std::string Handle(const Request& request);
-
   // Chrome trace_event JSON of the most recent traced request ("" when no
   // request asked for a trace yet). One slot, last-writer-wins: the
   // diagnosing operator traces one query at a time. Only explicitly
@@ -120,7 +116,6 @@ class QueryService {
   xq::XomatiQ xomatiq_;
   ServiceOptions options_;
   std::atomic<uint64_t> next_session_id_{1};
-  std::shared_ptr<Session> default_session_;
   mutable std::mutex trace_mu_;
   std::string last_trace_json_;
   // Newest-first ring of recent request traces, capped at kTraceRingCap.

@@ -1,7 +1,5 @@
 #include "server/result_cache.h"
 
-#include <algorithm>
-
 #include "common/fault_injector.h"
 #include "common/metrics.h"
 
@@ -64,63 +62,40 @@ std::optional<std::string> ResultCache::Lookup(const std::string& key) {
   return it->second->body;
 }
 
-void ResultCache::Insert(const std::string& key, std::string body,
-                         std::vector<std::string> tags, uint64_t generation) {
+void ResultCache::Insert(const std::string& key, uint64_t epoch,
+                         std::string body) {
   // Fault point cache.insert: drop the install silently. The cache is an
   // optimization — losing an insert must never affect correctness, only
   // hit rate, and tests assert exactly that.
   if (common::FaultInjector::Global().ShouldFail("cache.insert")) return;
   std::lock_guard lock(mu_);
-  if (generation != generation_.load(std::memory_order_relaxed)) {
-    return;  // invalidated while the query ran; result may be stale
+  if (epoch < epoch_) return;  // a newer snapshot is installed
+  if (epoch > epoch_) {
+    // Every entry belongs to an older epoch no new request can pin.
+    if (!lru_.empty()) CacheMetrics::Get().invalidations->Inc();
+    index_.clear();
+    lru_.clear();
+    epoch_ = epoch;
   }
   auto it = index_.find(key);
   if (it != index_.end()) {
     it->second->body = std::move(body);
-    it->second->tags = std::move(tags);
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  lru_.push_front(Entry{key, std::move(body), std::move(tags)});
+  lru_.push_front(Entry{key, std::move(body)});
   index_[key] = lru_.begin();
   while (lru_.size() > capacity_) {
     CacheMetrics::Get().evictions->Inc();
-    EvictLocked(std::prev(lru_.end()));
+    index_.erase(lru_.back().key);
+    lru_.pop_back();
   }
   CacheMetrics::Get().entries->Set(static_cast<int64_t>(lru_.size()));
-}
-
-void ResultCache::Invalidate(const std::string& collection) {
-  std::lock_guard lock(mu_);
-  generation_.fetch_add(1, std::memory_order_acq_rel);
-  CacheMetrics::Get().invalidations->Inc();
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    auto next = std::next(it);
-    const bool hit = it->tags.empty() ||
-                     std::find(it->tags.begin(), it->tags.end(), collection) !=
-                         it->tags.end();
-    if (hit) EvictLocked(it);
-    it = next;
-  }
-  CacheMetrics::Get().entries->Set(static_cast<int64_t>(lru_.size()));
-}
-
-void ResultCache::Clear() {
-  std::lock_guard lock(mu_);
-  generation_.fetch_add(1, std::memory_order_acq_rel);
-  index_.clear();
-  lru_.clear();
-  CacheMetrics::Get().entries->Set(0);
 }
 
 size_t ResultCache::size() const {
   std::lock_guard lock(mu_);
   return lru_.size();
-}
-
-void ResultCache::EvictLocked(std::list<Entry>::iterator it) {
-  index_.erase(it->key);
-  lru_.erase(it);
 }
 
 }  // namespace xomatiq::srv

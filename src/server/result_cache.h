@@ -1,34 +1,30 @@
 #ifndef XOMATIQ_SERVER_RESULT_CACHE_H_
 #define XOMATIQ_SERVER_RESULT_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 namespace xomatiq::srv {
 
 // LRU cache of encoded response *bodies* (protocol.h layout, everything
-// after the request id) keyed on normalized query text. A hit is re-served
-// to any session by patching the request id and the cached-flag byte; rows
-// are never re-encoded.
+// after the request id) keyed on normalized query text and the snapshot
+// epoch the query read at. A hit is re-served to any session by patching
+// the request id and the cached-flag byte; rows are never re-encoded.
 //
-// Invalidation is tag-based: each entry carries the collections its query
-// read (XQ translations know them; see Translation::collections). A
-// hounds::ChangeEvent for collection C evicts entries tagged C *and*
-// entries with no tags (SQL entries — table-level dependencies are not
-// tracked, so they conservatively die on any change).
+// The epoch is the only validity rule. rel::Database publishes a new
+// epoch for every commit that can change an answer (DML, DDL, a warehouse
+// sync, a replicated record), and a request looks up the key of the epoch
+// it pinned, so a hit is byte-exact for that snapshot. The cache remembers
+// the newest epoch it has installed: an insert computed at an older epoch
+// is dropped, and the first insert of a newer epoch empties the cache
+// first, because no new request can pin an older epoch again.
 //
-// The generation counter closes the lookup/execute/insert race: a query
-// that started before a sync must not install its stale result after the
-// sync invalidated. Callers capture generation() before executing and pass
-// it to Insert(), which discards on mismatch. ChangeEvents fire while the
-// writer holds the Database latch exclusively, so any execution that
-// observed pre-sync data also observed the pre-bump generation.
+// One cache serves one database: epochs of two databases cannot be
+// compared, and their keys would collide.
 //
 // Thread-safe; the internal mutex is a leaf in the server's lock order
 // (never held while acquiring the Database latch or Warehouse mutex).
@@ -40,33 +36,20 @@ class ResultCache {
   // snapshot epoch the query reads at, so "SELECT  *\nFROM t" and
   // "select * from t" share an entry only when byte-identical after
   // normalization (case is preserved: string literals are
-  // case-sensitive) AND pinned to the same committed epoch. Epoch keying
-  // makes a hit byte-exact for the snapshot the request would otherwise
-  // execute against; entries for superseded epochs age out via LRU (and
-  // via tag/generation invalidation, which still fires on every change).
-  // Epochs never alias across a replica snapshot install — the epoch
-  // counter is kept monotone.
+  // case-sensitive) AND pinned to the same committed epoch. Epochs never
+  // alias across a replica snapshot install: the epoch counter is kept
+  // monotone.
   static std::string MakeKey(uint8_t mode, std::string_view query_text,
                              uint64_t epoch);
-
-  uint64_t generation() const {
-    return generation_.load(std::memory_order_acquire);
-  }
 
   // Returns the encoded body and refreshes LRU recency, or nullopt.
   std::optional<std::string> Lookup(const std::string& key);
 
-  // Installs `body` unless the cache was invalidated after `generation`
-  // was captured. Evicts least-recently-used entries beyond capacity.
-  void Insert(const std::string& key, std::string body,
-              std::vector<std::string> tags, uint64_t generation);
-
-  // Evicts entries tagged with `collection` plus all untagged entries,
-  // and bumps the generation.
-  void Invalidate(const std::string& collection);
-
-  // Evicts everything and bumps the generation (DDL/DML path).
-  void Clear();
+  // Installs `body`, computed at snapshot `epoch`, under `key`. Dropped
+  // when a newer epoch is installed; a newer epoch than the cache holds
+  // empties the cache first. Evicts least-recently-used entries beyond
+  // capacity.
+  void Insert(const std::string& key, uint64_t epoch, std::string body);
 
   size_t size() const;
 
@@ -74,14 +57,11 @@ class ResultCache {
   struct Entry {
     std::string key;
     std::string body;
-    std::vector<std::string> tags;  // empty = evict on any change
   };
 
-  void EvictLocked(std::list<Entry>::iterator it);
-
   const size_t capacity_;
-  std::atomic<uint64_t> generation_{0};
   mutable std::mutex mu_;
+  uint64_t epoch_ = 0;    // newest epoch installed
   std::list<Entry> lru_;  // front = most recent
   std::unordered_map<std::string, std::list<Entry>::iterator> index_;
 };

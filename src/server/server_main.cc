@@ -160,10 +160,6 @@ int main(int argc, char** argv) {
   // catalog is empty, whereas the applier installs the primary's state
   // verbatim and the warehouse then just finds it.
   std::unique_ptr<repl::ReplicaApplier> applier;
-  std::shared_ptr<srv::ResultCache> cache;
-  if (cache_capacity > 0) {
-    cache = std::make_shared<srv::ResultCache>(cache_capacity);
-  }
   if (is_replica) {
     size_t colon = replica_of.rfind(':');
     if (colon == std::string::npos) {
@@ -175,18 +171,6 @@ int main(int argc, char** argv) {
     ropts.primary_host = replica_of.substr(0, colon);
     ropts.primary_port =
         static_cast<uint16_t>(std::atoi(replica_of.c_str() + colon + 1));
-    if (cache != nullptr) {
-      std::weak_ptr<srv::ResultCache> weak = cache;
-      ropts.invalidate = [weak](const std::string& collection) {
-        auto c = weak.lock();
-        if (c == nullptr) return;
-        if (collection.empty()) {
-          c->Clear();
-        } else {
-          c->Invalidate(collection);
-        }
-      };
-    }
     applier = std::make_unique<repl::ReplicaApplier>(db.get(), ropts);
     if (auto status = applier->Start(); !status.ok()) {
       std::fprintf(stderr, "replica start: %s\n", status.ToString().c_str());
@@ -217,7 +201,9 @@ int main(int argc, char** argv) {
     LoadDemo(warehouse->get(), demo);
   }
 
-  options.service.cache = cache;
+  if (cache_capacity > 0) {
+    options.service.cache = std::make_shared<srv::ResultCache>(cache_capacity);
+  }
   std::unique_ptr<repl::ReplicationServer> shipper;
   if (replication_port >= 0) {
     repl::ReplicationServerOptions sopts;

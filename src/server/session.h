@@ -11,10 +11,9 @@ namespace xomatiq::srv {
 
 class QueryService;
 
-// Server-side logical session: one per wire connection (plus one internal
-// "sessionless" instance backing QueryService::Handle for embedders).
-// Owns the per-request execution context that used to be ad-hoc plumbing
-// inside QueryService:
+// Server-side logical session: one per wire connection (embedders open
+// their own with QueryService::StartSession). Owns the per-request
+// execution context that used to be ad-hoc plumbing inside QueryService:
 //   - the outermost query-log scope and the trace id stamped onto it;
 //   - the per-request Trace when the client asked (or sampling fired);
 //   - the read-your-writes min_lsn gate, which must pass BEFORE a

@@ -92,7 +92,6 @@ Result<XqResult> XomatiQ::Execute(const common::QueryRequest& req) {
   result.columns = translation.column_names;
   result.executed_sql = translation.sql;
   result.constructor_name = translation.constructor_name;
-  result.collections = translation.collections;
   // Union the disjunct statements with set semantics, preserving the
   // first-seen order. Each statement streams its batches straight into
   // the result; no per-statement materialization. Statements run from

@@ -19,9 +19,6 @@ struct XqResult {
   std::vector<std::string> columns;
   std::vector<rel::Tuple> rows;
   std::vector<std::string> executed_sql;
-  // Collections the query read (from the translation); the server's
-  // result cache uses them as invalidation tags.
-  std::vector<std::string> collections;
   // RETURN constructor element name ("" = none); names each row element
   // in the XML rendering.
   std::string constructor_name;

@@ -1,6 +1,6 @@
 #include "xomatiq/xq2sql.h"
 
-#include <algorithm>
+#include <iterator>
 #include <map>
 #include <shared_mutex>
 
@@ -444,13 +444,6 @@ Result<Translation> Xq2SqlTranslator::Translate(const XQueryAst& ast,
 
   Translation out;
   out.constructor_name = ast.constructor_name;
-  for (const XqBinding& binding : ast.bindings) {
-    if (binding.collection.empty()) continue;
-    if (std::find(out.collections.begin(), out.collections.end(),
-                  binding.collection) == out.collections.end()) {
-      out.collections.push_back(binding.collection);
-    }
-  }
   for (const XqReturnItem& item : ast.returns) {
     if (!item.alias.empty()) {
       out.column_names.push_back(item.alias);

@@ -28,9 +28,6 @@ struct Translation {
   // Element name of the RETURN constructor ("" = plain item list); the
   // tagger uses it as the per-row element name.
   std::string constructor_name;
-  // Collections named by the query's FOR bindings (deduplicated, in
-  // binding order). The server's result cache keys invalidation on these.
-  std::vector<std::string> collections;
 };
 
 // SQL text of a translated statement. Renders only the fields the

@@ -168,18 +168,6 @@ class ReplicationTest : public ::testing::Test {
                     ReplicaApplierOptions ropts = {}) {
     node->db = rel::Database::OpenInMemory();
     ropts.primary_port = primary_port;
-    if (node->cache != nullptr) {
-      std::weak_ptr<srv::ResultCache> weak = node->cache;
-      ropts.invalidate = [weak](const std::string& collection) {
-        auto c = weak.lock();
-        if (c == nullptr) return;
-        if (collection.empty()) {
-          c->Clear();
-        } else {
-          c->Invalidate(collection);
-        }
-      };
-    }
     node->applier =
         std::make_unique<ReplicaApplier>(node->db.get(), ropts);
     ASSERT_TRUE(node->applier->Start().ok());
@@ -526,8 +514,8 @@ TEST_F(ReplicationTest, ReplicaCacheInvalidatedOnApply) {
   ASSERT_TRUE(second.ok() && second->ok());
   EXPECT_TRUE(second->cached());
 
-  // New documents land on the primary; the applied records must evict the
-  // replica's cached results before the next read.
+  // New documents land on the primary; the epochs the applied records
+  // publish must strand the replica's cached results before the next read.
   hounds::EnzymeXmlTransformer enzyme;
   ASSERT_TRUE(primary.warehouse
                   ->SyncSource(kEnzymes, enzyme,

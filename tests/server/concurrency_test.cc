@@ -1,8 +1,9 @@
 // Concurrency audit without TCP: hammers one Database/Warehouse/XomatiQ
 // stack from reader threads while a writer syncs the warehouse, exactly
-// the interleavings the server's worker pool produces. Run under
-// -DXOMATIQ_SANITIZE_THREAD=ON in CI; any data race is a test failure
-// there even when the assertions below pass.
+// the interleavings the server's worker pool produces, and checks that a
+// cached answer is never older than a sync that finished before the
+// request was sent. Run under -DXOMATIQ_SANITIZE_THREAD=ON in CI; any data
+// race is a test failure there even when the assertions below pass.
 
 #include <atomic>
 #include <chrono>
@@ -23,6 +24,9 @@ namespace xomatiq::srv {
 namespace {
 
 constexpr char kEnzymes[] = "hlx_enzyme.DEFAULT";
+constexpr char kEnzymeIdsXq[] =
+    "FOR $a IN document(\"hlx_enzyme.DEFAULT\")/hlx_enzyme "
+    "RETURN $a//enzyme_id";
 
 datagen::Corpus MakeCorpus(size_t n) {
   datagen::CorpusOptions options;
@@ -72,9 +76,7 @@ TEST(ConcurrencyTest, ReadersProceedWhileWriterSyncs) {
               "SELECT COUNT(*) FROM xml_node");
           if (!result.ok()) failures.fetch_add(1);
         } else {
-          auto result = xomatiq.Execute(
-              "FOR $a IN document(\"hlx_enzyme.DEFAULT\")/hlx_enzyme "
-              "RETURN $a//enzyme_id");
+          auto result = xomatiq.Execute(kEnzymeIdsXq);
           if (!result.ok()) failures.fetch_add(1);
         }
         // Leave gaps between shared acquisitions: back-to-back readers
@@ -108,6 +110,7 @@ TEST(ConcurrencyTest, QueryServiceParallelMixedModes) {
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&, t] {
+      auto session = service.StartSession();
       for (int i = 0; i < 30; ++i) {
         Request request;
         request.id = static_cast<uint64_t>(t * 1000 + i);
@@ -118,15 +121,13 @@ TEST(ConcurrencyTest, QueryServiceParallelMixedModes) {
             break;
           case 1:
             request.mode = RequestMode::kXq;
-            request.text =
-                "FOR $a IN document(\"hlx_enzyme.DEFAULT\")/hlx_enzyme "
-                "RETURN $a//enzyme_id";
+            request.text = kEnzymeIdsXq;
             break;
           default:
             request.mode = RequestMode::kStats;
             break;
         }
-        auto response = DecodeResponse(service.Handle(request));
+        auto response = DecodeResponse(session->Handle(request));
         if (!response.ok() || !response->ok() ||
             response->id != request.id) {
           bad.fetch_add(1);
@@ -140,39 +141,58 @@ TEST(ConcurrencyTest, QueryServiceParallelMixedModes) {
   EXPECT_GT(cache->size(), 0u);
 }
 
-TEST(ConcurrencyTest, CacheInvalidationRacesWithQueries) {
-  Stack stack;
+TEST(ConcurrencyTest, CachedAnswersNeverOlderThanCompletedSync) {
+  Stack stack;  // 12 enzymes
   auto cache = std::make_shared<ResultCache>(64);
   ServiceOptions service_options;
   service_options.cache = cache;
   QueryService service(stack.warehouse.get(), service_options);
+  // Each finished sync adds one enzyme: once `syncs` reads k, every
+  // snapshot pinned afterwards holds at least 12 + k of them.
+  std::atomic<size_t> syncs{0};
   std::atomic<bool> stop{false};
+  std::atomic<int> failed{0};
+  std::atomic<int> stale{0};
+  std::atomic<int> hits{0};
   std::vector<std::thread> readers;
   for (int t = 0; t < 4; ++t) {
     readers.emplace_back([&, t] {
+      auto session = service.StartSession();
       uint64_t id = static_cast<uint64_t>(t) << 32;
       while (!stop.load(std::memory_order_relaxed)) {
+        const size_t done = syncs.load(std::memory_order_acquire);
         Request request;
         request.id = ++id;
         request.mode = RequestMode::kXq;
-        request.text =
-            "FOR $a IN document(\"hlx_enzyme.DEFAULT\")/hlx_enzyme "
-            "RETURN $a//enzyme_id";
-        auto response = DecodeResponse(service.Handle(request));
-        ASSERT_TRUE(response.ok());
+        request.text = kEnzymeIdsXq;
+        auto response = DecodeResponse(session->Handle(request));
+        if (!response.ok() || !response->ok()) {
+          failed.fetch_add(1);
+          continue;
+        }
+        if (response->rows.size() < 12 + done) stale.fetch_add(1);
+        if (response->cached()) hits.fetch_add(1);
       }
     });
   }
-  std::string a = datagen::ToEnzymeFlatFile(MakeCorpus(12));
-  std::string b = datagen::ToEnzymeFlatFile(MakeCorpus(14));
-  for (int round = 0; round < 8; ++round) {
-    ASSERT_TRUE(stack.warehouse
-                    ->SyncSource(kEnzymes, stack.enzyme,
-                                 (round % 2 == 0) ? b : a)
-                    .ok());
+  for (size_t n = 13; n <= 20; ++n) {
+    auto synced = stack.warehouse->SyncSource(
+        kEnzymes, stack.enzyme, datagen::ToEnzymeFlatFile(MakeCorpus(n)));
+    EXPECT_TRUE(synced.ok()) << synced.status().ToString();
+    if (!synced.ok()) break;  // still stop and join the readers
+    syncs.fetch_add(1, std::memory_order_release);
+  }
+  // Readers keep going at the final epoch until one is served from cache.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (hits.load() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   stop.store(true);
   for (std::thread& t : readers) t.join();
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(stale.load(), 0) << "answers older than a finished sync";
+  EXPECT_GT(hits.load(), 0);
 }
 
 TEST(BoundedThreadPoolTest, RefusesWhenQueueFull) {

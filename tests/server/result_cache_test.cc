@@ -1,6 +1,6 @@
-// Result-cache semantics: LRU eviction at capacity, tag-based and
-// wildcard invalidation, the generation guard against stale inserts, and
-// the hit/miss metrics.
+// Result-cache semantics: key normalization, LRU eviction at capacity,
+// the epoch rule (an older-epoch insert is dropped, a newer epoch empties
+// the cache), and the hit/miss/invalidation metrics.
 
 #include "server/result_cache.h"
 
@@ -16,6 +16,10 @@ common::Counter* Hits() {
 }
 common::Counter* Misses() {
   return common::MetricsRegistry::Global().GetCounter("server.cache.misses");
+}
+common::Counter* Invalidations() {
+  return common::MetricsRegistry::Global().GetCounter(
+      "server.cache.invalidations");
 }
 
 TEST(ResultCacheTest, MakeKeyNormalizesWhitespace) {
@@ -46,7 +50,7 @@ TEST(ResultCacheTest, HitMissAndCounters) {
   uint64_t hits0 = Hits()->Value();
   uint64_t misses0 = Misses()->Value();
   EXPECT_FALSE(cache.Lookup("k").has_value());
-  cache.Insert("k", "body", {}, cache.generation());
+  cache.Insert("k", 1, "body");
   auto body = cache.Lookup("k");
   ASSERT_TRUE(body.has_value());
   EXPECT_EQ(*body, "body");
@@ -56,63 +60,48 @@ TEST(ResultCacheTest, HitMissAndCounters) {
 
 TEST(ResultCacheTest, EvictsLeastRecentlyUsedAtCapacity) {
   ResultCache cache(2);
-  cache.Insert("a", "1", {}, cache.generation());
-  cache.Insert("b", "2", {}, cache.generation());
+  cache.Insert("a", 1, "1");
+  cache.Insert("b", 1, "2");
   ASSERT_TRUE(cache.Lookup("a").has_value());  // refresh a; b is now LRU
-  cache.Insert("c", "3", {}, cache.generation());
+  cache.Insert("c", 1, "3");
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_TRUE(cache.Lookup("a").has_value());
   EXPECT_FALSE(cache.Lookup("b").has_value());
   EXPECT_TRUE(cache.Lookup("c").has_value());
 }
 
-TEST(ResultCacheTest, InvalidateByTag) {
+TEST(ResultCacheTest, OlderEpochInsertIsDroppedAndNewerEpochClears) {
   ResultCache cache(8);
-  cache.Insert("q1", "1", {"hlx_enzyme.DEFAULT"}, cache.generation());
-  cache.Insert("q2", "2", {"hlx_sprot.DEFAULT"}, cache.generation());
-  cache.Insert("q3", "3", {"hlx_enzyme.DEFAULT", "hlx_sprot.DEFAULT"},
-               cache.generation());
-  cache.Insert("sql", "4", {}, cache.generation());  // untagged
-  cache.Invalidate("hlx_enzyme.DEFAULT");
-  EXPECT_FALSE(cache.Lookup("q1").has_value());
-  EXPECT_TRUE(cache.Lookup("q2").has_value());
-  EXPECT_FALSE(cache.Lookup("q3").has_value());
-  // Untagged entries die on any change.
-  EXPECT_FALSE(cache.Lookup("sql").has_value());
-}
-
-TEST(ResultCacheTest, InvalidateBumpsGenerationAndBlocksStaleInsert) {
-  ResultCache cache(8);
-  uint64_t generation = cache.generation();
-  // A sync happens while the query is executing ...
-  cache.Invalidate("hlx_enzyme.DEFAULT");
-  // ... so the result computed against the old state must not land.
-  cache.Insert("q", "stale", {"hlx_enzyme.DEFAULT"}, generation);
-  EXPECT_FALSE(cache.Lookup("q").has_value());
-  // With the current generation it lands fine.
-  cache.Insert("q", "fresh", {"hlx_enzyme.DEFAULT"}, cache.generation());
-  EXPECT_TRUE(cache.Lookup("q").has_value());
-}
-
-TEST(ResultCacheTest, ClearEmptiesAndBumps) {
-  ResultCache cache(8);
-  uint64_t generation = cache.generation();
-  cache.Insert("a", "1", {}, generation);
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
+  cache.Insert("a", 5, "1");
+  cache.Insert("b", 5, "2");
+  ASSERT_EQ(cache.size(), 2u);
+  // A query that pinned epoch 4 finishes after epoch 5 is installed: no
+  // new request can pin 4 again, so its result must not land.
+  cache.Insert("stale", 4, "old");
+  EXPECT_FALSE(cache.Lookup("stale").has_value());
+  EXPECT_EQ(cache.size(), 2u);
+  // The first result of epoch 6 strands every epoch-5 entry: the cache
+  // empties before it goes in, and counts one invalidation.
+  const uint64_t invalidations0 = Invalidations()->Value();
+  cache.Insert("c", 6, "3");
+  EXPECT_EQ(cache.size(), 1u);
   EXPECT_FALSE(cache.Lookup("a").has_value());
-  EXPECT_GT(cache.generation(), generation);
+  EXPECT_FALSE(cache.Lookup("b").has_value());
+  EXPECT_TRUE(cache.Lookup("c").has_value());
+  EXPECT_EQ(Invalidations()->Value(), invalidations0 + 1);
+  // More results of the same epoch accumulate without another turnover.
+  cache.Insert("d", 6, "4");
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(Invalidations()->Value(), invalidations0 + 1);
 }
 
 TEST(ResultCacheTest, InsertRefreshesExistingEntry) {
   ResultCache cache(2);
-  cache.Insert("a", "old", {}, cache.generation());
-  cache.Insert("b", "2", {}, cache.generation());
-  cache.Insert("a", "new", {"t"}, cache.generation());  // refresh, no growth
+  cache.Insert("a", 1, "old");
+  cache.Insert("b", 1, "2");
+  cache.Insert("a", 1, "new");  // refresh, no growth
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(*cache.Lookup("a"), "new");
-  cache.Invalidate("t");
-  EXPECT_FALSE(cache.Lookup("a").has_value());  // tags were replaced too
 }
 
 }  // namespace

@@ -219,8 +219,8 @@ TEST_F(ServerTest, SyncInvalidatesCachedResultsMidRun) {
   EXPECT_TRUE(second->cached());
   EXPECT_EQ(second->rows.size(), 12u);
 
-  // Sync the warehouse to a larger corpus mid-run; the ChangeEvents must
-  // evict the cached entry.
+  // Sync the warehouse to a larger corpus mid-run; the sync's epoch must
+  // strand the cached entry.
   ASSERT_TRUE(warehouse_
                   ->SyncSource(kEnzymes, enzyme_,
                                datagen::ToEnzymeFlatFile(MakeCorpus(16)))

@@ -64,7 +64,7 @@ TEST(SessionTest, SessionsHaveDistinctIdsAndCountRequests) {
   auto a = service.StartSession();
   auto b = service.StartSession();
   EXPECT_NE(a->id(), b->id());
-  EXPECT_NE(a->id(), 0u);  // 0 is the internal sessionless scope
+  EXPECT_NE(a->id(), 0u);  // ids start at 1
   EXPECT_EQ(a->requests_handled(), 0u);
   Response r = Roundtrip(*a, RequestMode::kPing, "");
   EXPECT_TRUE(r.ok());
@@ -102,6 +102,37 @@ TEST(SessionTest, CacheIsKeyedBySnapshotEpoch) {
   ASSERT_TRUE(third.ok());
   EXPECT_FALSE(third.cached());
   EXPECT_EQ(third.rows.size(), docs + 1);
+
+  // DDL moves the epoch too. A table is created and filled through the
+  // session, cached, then dropped: by an embedder straight on the
+  // Database (no SQL, so the service never sees a mutation), and by SQL
+  // DROP TABLE. The next SELECT must read the dropped catalog and fail,
+  // not replay the cached rows.
+  auto cache_then_drop = [&](const std::string& table, auto drop) {
+    const std::string read = "SELECT x FROM " + table;
+    ASSERT_TRUE(Roundtrip(*session, RequestMode::kSql,
+                          "CREATE TABLE " + table + " (x INT)")
+                    .ok());
+    ASSERT_TRUE(Roundtrip(*session, RequestMode::kSql,
+                          "INSERT INTO " + table + " (x) VALUES (1)")
+                    .ok());
+    ASSERT_EQ(Roundtrip(*session, RequestMode::kSql, read).rows.size(), 1u);
+    Response hit = Roundtrip(*session, RequestMode::kSql, read);
+    ASSERT_TRUE(hit.ok());
+    ASSERT_TRUE(hit.cached());
+    drop();
+    Response gone = Roundtrip(*session, RequestMode::kSql, read);
+    EXPECT_FALSE(gone.ok()) << table << " was dropped";
+    EXPECT_FALSE(gone.cached()) << "served a dropped table from cache";
+  };
+  cache_then_drop("embedded_t", [&] {
+    rel::WriteGuard guard(stack.db.get());
+    ASSERT_TRUE(stack.db->DropTable("embedded_t").ok());
+  });
+  cache_then_drop("sql_t", [&] {
+    ASSERT_TRUE(
+        Roundtrip(*session, RequestMode::kSql, "DROP TABLE sql_t").ok());
+  });
 }
 
 TEST(SessionTest, MutationsRunUnpinnedAndReadYourWrites) {

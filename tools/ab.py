@@ -5,18 +5,20 @@
     python3 tools/ab.py --base HEAD --head HEAD   # A/A: two checkouts of HEAD
     python3 tools/ab.py --base main --workloads wire_sync --seeds 11 12 13
 
-Each revision named by --base or --head is checked out with `git worktree
-add` into a temporary directory outside the repository, and removed on exit.
+Each revision named by --base or --head is exported with `git archive` into
+a temporary directory outside the repository ($TMPDIR), and removed on exit.
 Without --head, B is this checkout, uncommitted changes included. Every tree
 runs its own paperbench/run.py, which builds it first. For each workload and
 seed the runs go in ABBA order, and the result is read from each run's last
 stdout line. A run pairs with the run of the other side next to it (A1-B1,
-B2-A2).
+B2-A2). After a workload's pairs, each side makes one traced run on the
+first seed.
 
 The report gives, for each workload and each end-to-end metric of
 BENCHMARK.json, the median B/A ratio over the pairs, the range of the pair
-ratios, the median of each side, and the failed ops of each side. Nothing
-is written under paperbench/.
+ratios, the median of each side, and the failed ops of each side. From the
+traced runs it gives every per-layer metric of BENCHMARK.json with both
+values and their B/A ratio. Nothing is written under paperbench/.
 """
 
 import argparse
@@ -37,18 +39,21 @@ def git(*args):
                           capture_output=True, text=True).stdout.strip()
 
 
-def add_worktree(rev, parent, label):
+def export_tree(rev, parent, label):
+    """Writes the files `rev` commits to parent/label."""
     path = os.path.join(parent, label)
-    subprocess.run(["git", "worktree", "add", "--detach", path, rev],
-                   cwd=ROOT, check=True, stdout=sys.stderr)
+    os.mkdir(path)
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", path], input=archive, check=True)
     return path
 
 
-def run_bench(tree, workload, seed, seconds, smoke=False):
+def run_bench(tree, workload, seed, seconds, smoke=False, trace=0):
     """One run of `tree`'s paperbench; returns its result JSON or None."""
     cmd = [sys.executable, os.path.join(tree, "paperbench", "run.py"),
            "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     if smoke:
         cmd.append("--smoke")
     # Its own process group, so an interrupted run takes paper_bench along.
@@ -110,6 +115,25 @@ def report(workload, seeds, seconds, pairs, metrics):
     sys.stdout.flush()
 
 
+def report_layers(seed, a, b, metrics):
+    """Per-layer metrics of one traced run per side."""
+    print("  per layer, traced seed %d; failed ops A=%d B=%d" %
+          (seed, failed_ops([a]), failed_ops([b])))
+    print("  %-42s %-7s %11s %11s %9s" %
+          ("metric", "better", "A", "B", "B/A"))
+    for m in metrics:
+        name = m["name"]
+        av, bv = (r["metrics"].get(name, {}).get("value")
+                  if r is not None else None for r in (a, b))
+        if av is None and bv is None:
+            continue
+        ratio = "%9.3f" % (bv / av) if av and bv is not None else "%9s" % "-"
+        print("  %-42s %-7s %11s %11s %s" %
+              (name, m["better"], "-" if av is None else "%.4g" % av,
+               "-" if bv is None else "%.4g" % bv, ratio))
+    sys.stdout.flush()
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="revision for side A")
@@ -127,18 +151,15 @@ def main():
     workloads = args.workloads or [w["name"] for w in benchmark["workloads"]]
     metrics = benchmark["end_to_end"]
 
-    # A terminated run still removes its worktrees (the finally below).
+    # A terminated run still removes its trees (the finally below).
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(1))
     scratch = tempfile.mkdtemp(prefix="xq-ab-")
-    worktrees = []
     try:
-        worktrees.append(add_worktree(args.base, scratch, "a"))
-        tree_a = worktrees[-1]
+        tree_a = export_tree(args.base, scratch, "a")
         if args.head is None:
             tree_b = ROOT
         else:
-            worktrees.append(add_worktree(args.head, scratch, "b"))
-            tree_b = worktrees[-1]
+            tree_b = export_tree(args.head, scratch, "b")
         print("A = %s (%s)\nB = %s (%s)" %
               (args.base, git("rev-parse", "--short", args.base),
                args.head or "this checkout",
@@ -157,12 +178,14 @@ def main():
                 a2 = run_bench(tree_a, workload, seed, args.seconds)
                 pairs += [(a1, b1), (a2, b2)]
             report(workload, args.seeds, args.seconds, pairs, metrics)
+            seed = args.seeds[0]
+            report_layers(
+                seed,
+                run_bench(tree_a, workload, seed, args.seconds, trace=1),
+                run_bench(tree_b, workload, seed, args.seconds, trace=1),
+                benchmark["per_layer"])
     finally:
-        for path in worktrees:
-            subprocess.run(["git", "worktree", "remove", "--force", path],
-                           cwd=ROOT, stdout=sys.stderr, stderr=sys.stderr)
         shutil.rmtree(scratch, ignore_errors=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT)
     return 0
 
 
