@@ -1,19 +1,14 @@
 #include "client/client.h"
 
-#include <arpa/inet.h>
-#include <errno.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <thread>
 #include <utility>
 
+#include "common/net.h"
 #include "common/rng.h"
 #include "common/trace.h"
 
@@ -43,49 +38,33 @@ uint64_t GenerateTraceId() {
   return x != 0 ? x : 1;  // 0 means "no id" on the wire
 }
 
-// Raw TCP connect; no handshake.
-Result<int> ConnectFd(const std::string& host, uint16_t port) {
-  // No-op unless the caller installed a Trace on this thread (the traced
-  // Execute path does for reconnects; embedders can too).
-  common::TraceSpan span("client.connect");
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::IoError(std::string("socket: ") + std::strerror(errno));
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return Status::InvalidArgument("bad server address: " + host);
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    Status status =
-        Status::IoError("connect " + host + ":" + std::to_string(port) +
-                        ": " + std::strerror(errno));
-    ::close(fd);
-    return status;
-  }
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
-}
-
-// Hello exchange on a fresh connection; returns the negotiated features.
-// A typed error response from the server (e.g. kUnsupported on a major
-// mismatch) is surfaced verbatim.
-Result<uint32_t> Handshake(int fd) {
-  XQ_RETURN_IF_ERROR(srv::WriteFrame(fd, srv::EncodeHello(srv::Hello{})));
+// Hello exchange on a fresh connection. A typed error response from the
+// server (e.g. kUnsupported on a major mismatch) is surfaced verbatim.
+Status Handshake(int fd) {
+  XQ_RETURN_IF_ERROR(net::WriteFrame(fd, srv::EncodeHello(srv::Hello{})));
   XQ_ASSIGN_OR_RETURN(std::string frame,
-                      srv::ReadFrame(fd, srv::kDefaultMaxFrameBytes));
-  if (srv::IsHelloFrame(frame)) {
-    XQ_ASSIGN_OR_RETURN(srv::Hello ack, srv::DecodeHello(frame));
-    return ack.features;
-  }
+                      net::ReadFrame(fd, srv::kDefaultMaxFrameBytes));
+  if (srv::DecodeHello(frame).ok()) return Status::OK();
   // Not a hello: the server refused (typed error response, id 0).
   XQ_ASSIGN_OR_RETURN(srv::Response response, srv::DecodeResponse(frame));
   if (!response.ok()) return response.status();
   return Status::Corruption("unexpected handshake reply");
+}
+
+// TCP connect plus handshake; the caller owns the returned fd.
+Result<int> OpenSession(const std::string& host, uint16_t port) {
+  Result<int> fd = [&] {
+    // No-op unless the caller installed a Trace on this thread; Execute's
+    // own trace covers only the request it sends.
+    common::TraceSpan span("client.connect");
+    return net::Dial(host, port);
+  }();
+  if (!fd.ok()) return fd;
+  if (Status status = Handshake(*fd); !status.ok()) {
+    ::close(*fd);
+    return status;
+  }
+  return fd;
 }
 
 // Transport-level failures worth a reconnect+resend: the connection is
@@ -102,13 +81,8 @@ using common::Backoff;
 }  // namespace
 
 Result<Client> Client::Connect(const std::string& host, uint16_t port) {
-  XQ_ASSIGN_OR_RETURN(int fd, ConnectFd(host, port));
-  auto features = Handshake(fd);
-  if (!features.ok()) {
-    ::close(fd);
-    return features.status();
-  }
-  return Client(fd, host, port, *features);
+  XQ_ASSIGN_OR_RETURN(int fd, OpenSession(host, port));
+  return Client(fd, host, port);
 }
 
 Result<Client> Client::ConnectWithRetry(const std::string& host,
@@ -132,7 +106,6 @@ Client::Client(Client&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
       host_(std::move(other.host_)),
       port_(other.port_),
-      features_(other.features_),
       next_id_(other.next_id_),
       last_trace_json_(std::move(other.last_trace_json_)),
       last_trace_id_(other.last_trace_id_) {}
@@ -143,7 +116,6 @@ Client& Client::operator=(Client&& other) noexcept {
     fd_ = std::exchange(other.fd_, -1);
     host_ = std::move(other.host_);
     port_ = other.port_;
-    features_ = other.features_;
     next_id_ = other.next_id_;
     last_trace_json_ = std::move(other.last_trace_json_);
     last_trace_id_ = other.last_trace_id_;
@@ -160,14 +132,7 @@ Status Client::Reconnect() {
     ::close(fd_);
     fd_ = -1;
   }
-  XQ_ASSIGN_OR_RETURN(int fd, ConnectFd(host_, port_));
-  auto features = Handshake(fd);
-  if (!features.ok()) {
-    ::close(fd);
-    return features.status();
-  }
-  fd_ = fd;
-  features_ = *features;
+  XQ_ASSIGN_OR_RETURN(fd_, OpenSession(host_, port_));
   return Status::OK();
 }
 
@@ -177,26 +142,9 @@ Result<srv::Response> Client::Execute(const common::QueryRequest& req) {
   const srv::RequestMode mode = static_cast<srv::RequestMode>(req.mode);
   const std::string& text = req.text;
   common::QueryOptions opts = req.options;
-  // The trace id only goes on the wire when the server ack'd the feature;
-  // a 1.1 server would reject the longer tail as trailing bytes.
-  if ((features_ & srv::kFeatureTraceContext) == 0) {
-    opts.trace_id = 0;
-  } else if (opts.trace && opts.trace_id == 0) {
-    opts.trace_id = GenerateTraceId();
-  }
-  // Same discipline for the 1.3 consistency token: a pre-LSN server would
-  // choke on the extra tail field.
-  if ((features_ & srv::kFeatureLsn) == 0) opts.min_lsn = 0;
+  if (opts.trace && opts.trace_id == 0) opts.trace_id = GenerateTraceId();
   auto run = [&]() -> Result<srv::Response> {
-    srv::Request request;
-    request.id = next_id_++;
-    request.mode = mode;
-    request.text = text;
-    if (opts != common::QueryOptions{} &&
-        (features_ & srv::kFeatureQueryOptions) != 0) {
-      request.options = opts;
-      request.has_options = true;
-    }
+    const srv::Request request{next_id_++, mode, text, opts};
     std::string frame_out;
     {
       common::TraceSpan span("client.encode");
@@ -204,14 +152,14 @@ Result<srv::Response> Client::Execute(const common::QueryRequest& req) {
     }
     {
       common::TraceSpan span("client.send");
-      XQ_RETURN_IF_ERROR(srv::WriteFrame(fd_, frame_out));
+      XQ_RETURN_IF_ERROR(net::WriteFrame(fd_, frame_out));
     }
     // One span for the whole round trip (the server's own spans fill the
     // gap), plus a decode span per reply frame.
     common::TraceSpan rtt("client.rtt");
     while (true) {
       XQ_ASSIGN_OR_RETURN(std::string frame,
-                          srv::ReadFrame(fd_, srv::kDefaultMaxFrameBytes));
+                          net::ReadFrame(fd_, srv::kDefaultMaxFrameBytes));
       common::TraceSpan span("client.decode");
       XQ_ASSIGN_OR_RETURN(srv::Response response, srv::DecodeResponse(frame));
       // A session-level error (id 0, e.g. the server timing us out) or a

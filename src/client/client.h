@@ -25,11 +25,10 @@ using RetryPolicy = common::RetryPolicy;
 // a *successful* Result whose Response carries the error status — the
 // caller can distinguish "the server is gone" from "the query was bad".
 //
-// Connect() performs the protocol hello exchange (protocol.h): the client
-// offers its version and feature bits, the server acks with the
-// negotiated intersection (features()), or rejects a major-version
-// mismatch with a typed kUnsupported status. Per-request QueryOptions are
-// only put on the wire when the server acknowledged kFeatureQueryOptions.
+// Connect() performs the protocol hello exchange (protocol.h): the server
+// answers with its own hello, or rejects a major-version mismatch with a
+// typed kUnsupported status. Every request then carries its full
+// QueryOptions, and every OK response its LSN.
 //
 // ExecuteWithRetry retries *transport* failures (reconnect + resend) and
 // OVERLOADED pushback. Retried requests are at-least-once: a response
@@ -86,23 +85,20 @@ class Client {
   }
 
   int fd() const { return fd_; }
-  // Feature bits acknowledged by the server's hello.
-  uint32_t features() const { return features_; }
 
   // Chrome trace_event JSON of the client's side of the most recent traced
-  // request (opts.trace set): connect/encode/send/rtt/decode spans on
-  // pid 2, tagged with the trace id that went on the wire. Merge with the
+  // request (opts.trace set): encode/send/rtt/decode spans on pid 2,
+  // tagged with the trace id that went on the wire. Merge with the
   // server's half (GET /tracez?id=<last_trace_id> on the admin endpoint)
   // via common::MergeChromeTraceJson for one cross-process timeline.
   std::string LastTraceJson() const { return last_trace_json_; }
-  // Trace id of that request (0 = none traced yet, or the server did not
-  // ack kFeatureTraceContext). Client-generated unless the caller supplied
-  // opts.trace_id.
+  // Trace id of that request (0 = none traced yet). Client-generated
+  // unless the caller supplied opts.trace_id.
   uint64_t last_trace_id() const { return last_trace_id_; }
 
  private:
-  Client(int fd, std::string host, uint16_t port, uint32_t features)
-      : fd_(fd), host_(std::move(host)), port_(port), features_(features) {}
+  Client(int fd, std::string host, uint16_t port)
+      : fd_(fd), host_(std::move(host)), port_(port) {}
 
   // Tears down the socket and redoes Connect (including the handshake)
   // against the remembered endpoint.
@@ -111,7 +107,6 @@ class Client {
   int fd_ = -1;
   std::string host_;
   uint16_t port_ = 0;
-  uint32_t features_ = 0;
   uint64_t next_id_ = 1;
   std::string last_trace_json_;
   uint64_t last_trace_id_ = 0;

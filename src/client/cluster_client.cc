@@ -8,31 +8,12 @@ using common::Result;
 using common::Status;
 using common::StatusCode;
 
-namespace {
-
-// Mirrors the server's own routing keyword scan (query_service.cc):
-// statements the primary must execute.
-bool IsWriteStatement(std::string_view text) {
-  size_t i = text.find_first_not_of(" \t\r\n");
-  std::string word;
-  for (; i != std::string_view::npos && i < text.size(); ++i) {
-    char c = text[i];
-    if (!((c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z'))) break;
-    if (c >= 'A' && c <= 'Z') c += 'a' - 'A';
-    word.push_back(c);
-  }
-  return word == "insert" || word == "update" || word == "delete" ||
-         word == "create" || word == "drop" || word == "analyze";
-}
-
-}  // namespace
-
 ClusterClient::ClusterClient(ClusterOptions options)
     : options_(std::move(options)),
       replicas_(options_.replicas.size()) {}
 
 Result<srv::Response> ClusterClient::Execute(const common::QueryRequest& req) {
-  if (req.mode == common::QueryMode::kSql && IsWriteStatement(req.text)) {
+  if (req.mode == common::QueryMode::kSql && srv::IsSqlWrite(req.text)) {
     return Write(req);
   }
   return Read(req);

@@ -49,13 +49,13 @@ struct QueryOptions {
   // Skip the server result cache for this query: neither probe nor
   // install. Reads that must observe the latest warehouse state use this.
   bool bypass_cache = false;
-  // Client-generated cross-process correlation id (0 = none). Carried on
-  // the wire behind kFeatureTraceContext; the server tags its request
-  // trace and query-log record with it so client- and server-side views
-  // of one request can be stitched together.
+  // Client-generated cross-process correlation id (0 = none). Every wire
+  // request carries it; the server tags its request trace and query-log
+  // record with it so client- and server-side views of one request can be
+  // stitched together.
   uint64_t trace_id = 0;
-  // Read-your-writes consistency token (0 = none). Carried on the wire
-  // behind kFeatureLsn; a read replica whose applied LSN is below this
+  // Read-your-writes consistency token (0 = none). Every wire request
+  // carries it; a read replica whose applied LSN is below this
   // waits briefly for replication to catch up and answers kLagging if it
   // does not — the client then retries against the primary. Meaningless
   // on a primary, which is by definition current.

@@ -35,10 +35,8 @@ bool IsDdlOp(uint8_t tag) {
          tag <= static_cast<uint8_t>(Op::kDropIndex);
 }
 
-// v2 prepends the base LSN to the snapshot body; v1 snapshots (no LSN,
-// base 0) are still readable so pre-LSN directories open cleanly.
+// The snapshot body opens with its base LSN.
 constexpr char kSnapshotMagic[] = "XQSNAP2";
-constexpr char kSnapshotMagicV1[] = "XQSNAP1";
 constexpr char kSnapshotFile[] = "snapshot.db";
 constexpr char kWalFile[] = "wal.log";
 
@@ -989,8 +987,7 @@ Status Database::LoadSnapshot(const std::string& path) {
                    std::istreambuf_iterator<char>());
   BinaryReader file(data);
   XQ_ASSIGN_OR_RETURN(std::string magic, file.GetString());
-  const bool v1 = magic == kSnapshotMagicV1;
-  if (magic != kSnapshotMagic && !v1) {
+  if (magic != kSnapshotMagic) {
     return Status::Corruption("bad snapshot magic in " + path);
   }
   XQ_ASSIGN_OR_RETURN(uint32_t crc, file.GetU32());
@@ -1000,18 +997,14 @@ Status Database::LoadSnapshot(const std::string& path) {
   }
   BinaryReader r(body);
   uint64_t base_lsn = 0;
-  XQ_RETURN_IF_ERROR(DecodeStateBody(&r, /*has_lsn=*/!v1, &base_lsn));
+  XQ_RETURN_IF_ERROR(DecodeStateBody(&r, &base_lsn));
   last_lsn_.store(base_lsn, std::memory_order_release);
   return Status::OK();
 }
 
-Status Database::DecodeStateBody(BinaryReader* r_ptr, bool has_lsn,
-                                 uint64_t* base_lsn) {
+Status Database::DecodeStateBody(BinaryReader* r_ptr, uint64_t* base_lsn) {
   BinaryReader& r = *r_ptr;
-  *base_lsn = 0;
-  if (has_lsn) {
-    XQ_ASSIGN_OR_RETURN(*base_lsn, r.GetU64());
-  }
+  XQ_ASSIGN_OR_RETURN(*base_lsn, r.GetU64());
   XQ_ASSIGN_OR_RETURN(uint32_t ntables, r.GetU32());
   for (uint32_t t = 0; t < ntables; ++t) {
     XQ_ASSIGN_OR_RETURN(std::string name, r.GetString());
@@ -1060,7 +1053,7 @@ Result<uint64_t> Database::InstallReplicaState(std::string_view state_body) {
     std::unique_lock<std::shared_mutex> barrier(ddl_latch_);
     tables_.clear();
     BinaryReader r(state_body);
-    XQ_RETURN_IF_ERROR(DecodeStateBody(&r, /*has_lsn=*/true, &base_lsn));
+    XQ_RETURN_IF_ERROR(DecodeStateBody(&r, &base_lsn));
   }
   PublishLsn(base_lsn);
   // The installed rows were stamped at write_epoch(): the epoch counter

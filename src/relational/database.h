@@ -295,11 +295,9 @@ class Database {
   common::Status LoadSnapshot(const std::string& path);
   common::Status WriteSnapshot(const std::string& path) const;
   // Shared body serde: snapshots and replication bootstrap use one
-  // format. `has_lsn` distinguishes the v2 layout (leading u64 base LSN)
-  // from legacy v1 snapshots; *base_lsn receives the embedded value.
+  // format, a leading u64 base LSN (into *base_lsn) and then the tables.
   void EncodeStateBody(BinaryWriter* body) const;
-  common::Status DecodeStateBody(BinaryReader* r, bool has_lsn,
-                                 uint64_t* base_lsn);
+  common::Status DecodeStateBody(BinaryReader* r, uint64_t* base_lsn);
   void PublishLsn(uint64_t lsn);
 
   // Snapshot registry (Snapshot ctor/dtor).

@@ -1,20 +1,15 @@
 #include "replication/repl_server.h"
 
-#include <arpa/inet.h>
-#include <errno.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 
 #include "common/fault_injector.h"
 #include "common/metrics.h"
+#include "common/net.h"
 #include "common/string_util.h"
-#include "server/protocol.h"
 
 namespace xomatiq::repl {
 
@@ -43,29 +38,7 @@ ReplicationServer::ReplicationServer(rel::Database* db,
 ReplicationServer::~ReplicationServer() { Shutdown(); }
 
 Status ReplicationServer::Start() {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::IoError(std::string("socket: ") + std::strerror(errno));
-  }
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    return Status::InvalidArgument("bad replication address: " +
-                                   options_.host);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    return Status::IoError(std::string("bind: ") + std::strerror(errno));
-  }
-  if (::listen(listen_fd_, 16) < 0) {
-    return Status::IoError(std::string("listen: ") + std::strerror(errno));
-  }
-  socklen_t len = sizeof(addr);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-  port_ = ntohs(addr.sin_port);
+  XQ_RETURN_IF_ERROR(listener_.Open(options_.host, options_.port, 16));
 
   // Attach the sink under the exclusive write latch: writers invoke it
   // while holding the same latch, so this is the only safe publication
@@ -90,7 +63,7 @@ void ReplicationServer::Shutdown() {
   // the database: session threads may be mid-send under the shared latch,
   // and a stuck replica socket would otherwise park them there forever.
   ring_cv_.notify_all();
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  listener_.Shutdown();
   {
     std::lock_guard<std::mutex> lk(sessions_mu_);
     for (int fd : session_fds_) ::shutdown(fd, SHUT_RDWR);
@@ -108,10 +81,7 @@ void ReplicationServer::Shutdown() {
   for (std::thread& t : threads) {
     if (t.joinable()) t.join();
   }
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  listener_.Close();
 }
 
 void ReplicationServer::OnRecord(uint64_t lsn, std::string_view payload) {
@@ -128,13 +98,9 @@ void ReplicationServer::OnRecord(uint64_t lsn, std::string_view payload) {
 
 void ReplicationServer::AcceptLoop() {
   while (!stopping_.load(std::memory_order_acquire)) {
-    int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // listener shut down (or unrecoverable)
-    }
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    Result<int> accepted = listener_.Accept(/*read_timeout_ms=*/0);
+    if (!accepted.ok()) return;  // listener shut down (or unrecoverable)
+    const int fd = *accepted;
     std::lock_guard<std::mutex> lk(sessions_mu_);
     if (stopping_.load(std::memory_order_acquire)) {
       ::close(fd);
@@ -155,7 +121,7 @@ Status SendMsg(int fd, const ReplMsg& msg, std::atomic<uint64_t>* bytes) {
       common::FaultInjector::Global().ShouldFail("repl.ship.corrupt")) {
     body.back() = static_cast<char>(body.back() ^ 0xff);
   }
-  Status st = srv::WriteFrame(fd, body);
+  Status st = net::WriteFrame(fd, body);
   if (st.ok() && bytes != nullptr) {
     *bytes += body.size() + 4;
     static common::Counter* bytes_ctr =
@@ -197,7 +163,7 @@ void ReplicationServer::SessionLoop(int fd) {
   // The replica opens with its hello; everything after that flows our way.
   bool hello_ok = false;
   uint64_t cursor = 0;
-  if (Result<std::string> frame = srv::ReadFrame(fd, 4096); frame.ok()) {
+  if (Result<std::string> frame = net::ReadFrame(fd, 4096); frame.ok()) {
     if (Result<ReplHello> hello = DecodeReplHello(*frame); hello.ok()) {
       if (hello->major == kReplMajor) {
         hello_ok = true;
@@ -346,7 +312,7 @@ std::string ReplicationServer::StatuszJson() const {
       "\"durable_lsn\":%llu,\"records_shipped\":%llu,"
       "\"bytes_shipped\":%llu,\"snapshots_shipped\":%llu,"
       "\"ring_records\":%zu,\"ring_bytes\":%zu}",
-      port_, s.replicas_connected,
+      listener_.port(), s.replicas_connected,
       static_cast<unsigned long long>(s.durable_lsn),
       static_cast<unsigned long long>(s.records_shipped),
       static_cast<unsigned long long>(s.bytes_shipped),

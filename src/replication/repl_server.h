@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/net.h"
 #include "common/result.h"
 #include "relational/database.h"
 #include "replication/repl_wire.h"
@@ -57,7 +58,7 @@ class ReplicationServer {
   common::Status Start();
   void Shutdown();
 
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return listener_.port(); }
 
   struct Stats {
     size_t replicas_connected = 0;
@@ -84,8 +85,7 @@ class ReplicationServer {
   rel::Database* db_;
   ReplicationServerOptions options_;
 
-  int listen_fd_ = -1;
-  uint16_t port_ = 0;
+  net::Listener listener_;
   std::atomic<bool> stopping_{false};
   std::thread accept_thread_;
 

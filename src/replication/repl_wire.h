@@ -10,11 +10,11 @@
 namespace xomatiq::repl {
 
 // XQRP — the WAL-shipping sub-protocol between a primary's
-// ReplicationServer and a ReplicaApplier. It rides on the same u32
-// length-prefixed framing as the query protocol (srv::WriteFrame /
-// srv::ReadFrame), but frames flow almost entirely one way: the replica
-// sends a single hello, then the primary streams messages until one side
-// hangs up.
+// ReplicationServer and a ReplicaApplier. It rides on common/net's u32
+// length-prefixed framing (net::WriteFrame / net::ReadFrame), as the
+// query protocol does, but frames flow almost entirely one way: the
+// replica sends a single hello, then the primary streams messages until
+// one side hangs up.
 //
 //   hello := "XQRP" | u8 major | u8 minor | u64 start_lsn
 //   msg   := u8 type | u64 lsn | u64 send_unix_ms

@@ -1,20 +1,15 @@
 #include "replication/replica.h"
 
-#include <arpa/inet.h>
-#include <errno.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 
 #include "common/metrics.h"
+#include "common/net.h"
 #include "common/string_util.h"
 #include "common/trace.h"
-#include "server/protocol.h"
 
 namespace xomatiq::repl {
 
@@ -161,7 +156,7 @@ void ReplicaApplier::Run() {
       std::lock_guard<std::mutex> lk(mu_);
       if (stopping_) return;
     }
-    Result<int> fd = Connect();
+    Result<int> fd = net::Dial(options_.primary_host, options_.primary_port);
     if (!fd.ok()) {
       std::unique_lock<std::mutex> lk(mu_);
       cv_.wait_for(lk, backoff.NextDelay(attempt++),
@@ -197,31 +192,6 @@ void ReplicaApplier::Run() {
   }
 }
 
-Result<int> ReplicaApplier::Connect() {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::IoError(std::string("socket: ") + std::strerror(errno));
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.primary_port);
-  if (::inet_pton(AF_INET, options_.primary_host.c_str(), &addr.sin_addr) !=
-      1) {
-    ::close(fd);
-    return Status::InvalidArgument("bad primary address: " +
-                                   options_.primary_host);
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    Status st =
-        Status::IoError(std::string("connect: ") + std::strerror(errno));
-    ::close(fd);
-    return st;
-  }
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
-}
-
 bool ReplicaApplier::StreamOnce(int fd) {
   static common::Counter* corrupt_ctr =
       common::MetricsRegistry::Global().GetCounter("repl.corrupt_frames");
@@ -232,13 +202,13 @@ bool ReplicaApplier::StreamOnce(int fd) {
 
   ReplHello hello;
   hello.start_lsn = db_->applied_lsn();
-  if (!srv::WriteFrame(fd, EncodeReplHello(hello)).ok()) {
+  if (!net::WriteFrame(fd, EncodeReplHello(hello)).ok()) {
     return is_stopping();
   }
 
   while (true) {
     if (is_stopping()) return true;
-    Result<std::string> frame = srv::ReadFrame(fd, options_.max_frame_bytes);
+    Result<std::string> frame = net::ReadFrame(fd, options_.max_frame_bytes);
     if (!frame.ok()) return is_stopping();
     Result<ReplMsg> msg = DecodeReplMsg(*frame);
     if (!msg.ok()) {

@@ -99,7 +99,6 @@ class ReplicaApplier {
 
  private:
   void Run();
-  common::Result<int> Connect();
   // Serves one connection until error/shutdown. Returns true when the
   // session ended due to Shutdown (stop retrying).
   bool StreamOnce(int fd);

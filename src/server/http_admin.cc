@@ -1,14 +1,10 @@
 #include "server/http_admin.h"
 
-#include <arpa/inet.h>
 #include <errno.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
-#include <cstring>
+#include <cstdio>
 
 #include "common/net.h"
 
@@ -49,28 +45,7 @@ HttpAdminServer::HttpAdminServer(AdminHooks hooks, HttpAdminOptions options)
 HttpAdminServer::~HttpAdminServer() { Shutdown(); }
 
 Status HttpAdminServer::Start() {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::IoError(std::string("socket: ") + std::strerror(errno));
-  }
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    return Status::InvalidArgument("bad admin address: " + options_.host);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    return Status::IoError(std::string("bind: ") + std::strerror(errno));
-  }
-  if (::listen(listen_fd_, 16) < 0) {
-    return Status::IoError(std::string("listen: ") + std::strerror(errno));
-  }
-  socklen_t len = sizeof(addr);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-  port_ = ntohs(addr.sin_port);
+  XQ_RETURN_IF_ERROR(listener_.Open(options_.host, options_.port, 16));
   thread_ = std::thread([this] { ServeLoop(); });
   return Status::OK();
 }
@@ -80,33 +55,17 @@ void HttpAdminServer::Shutdown() {
     if (thread_.joinable()) thread_.join();
     return;
   }
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-  }
+  listener_.Shutdown();
   if (thread_.joinable()) thread_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  listener_.Close();
 }
 
 void HttpAdminServer::ServeLoop() {
   while (!stopping_.load(std::memory_order_acquire)) {
-    int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // listener was shut down (or unrecoverable)
-    }
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    if (options_.read_timeout_ms > 0) {
-      timeval tv{};
-      tv.tv_sec = options_.read_timeout_ms / 1000;
-      tv.tv_usec = (options_.read_timeout_ms % 1000) * 1000;
-      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    }
-    ServeOne(fd);
-    ::close(fd);
+    common::Result<int> fd = listener_.Accept(options_.read_timeout_ms);
+    if (!fd.ok()) return;  // listener was shut down (or unrecoverable)
+    ServeOne(*fd);
+    ::close(*fd);
   }
 }
 

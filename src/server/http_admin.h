@@ -9,6 +9,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/net.h"
 #include "common/result.h"
 
 namespace xomatiq::srv {
@@ -62,7 +63,7 @@ class HttpAdminServer {
   void Shutdown();
 
   // Bound port (after Start()).
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return listener_.port(); }
 
  private:
   void ServeLoop();
@@ -70,8 +71,7 @@ class HttpAdminServer {
 
   AdminHooks hooks_;
   HttpAdminOptions options_;
-  int listen_fd_ = -1;
-  uint16_t port_ = 0;
+  net::Listener listener_;
   std::atomic<bool> stopping_{false};
   std::thread thread_;
 };

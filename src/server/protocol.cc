@@ -1,12 +1,7 @@
 #include "server/protocol.h"
 
-#include <errno.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <cstring>
 
-#include "common/net.h"
 #include "relational/serde.h"
 
 namespace xomatiq::srv {
@@ -38,13 +33,9 @@ std::string_view RequestModeName(RequestMode mode) {
 // --- hello ------------------------------------------------------------
 
 namespace {
-// Option-flag bits in the optional request tail.
+// Option-flag bits of the request's options block.
 constexpr uint8_t kOptTrace = 1;
 constexpr uint8_t kOptBypassCache = 2;
-// A u64 trace id follows deadline_ms (kFeatureTraceContext peers only).
-constexpr uint8_t kOptTraceId = 4;
-// A u64 min_lsn consistency token follows (kFeatureLsn peers only).
-constexpr uint8_t kOptMinLsn = 8;
 }  // namespace
 
 std::string EncodeHello(const Hello& hello) {
@@ -52,25 +43,19 @@ std::string EncodeHello(const Hello& hello) {
   std::string out(kWireMagic, sizeof(kWireMagic));
   w.PutU8(hello.major);
   w.PutU8(hello.minor);
-  w.PutU32(hello.features);
   out += w.TakeBuffer();
   return out;
 }
 
-bool IsHelloFrame(std::string_view body) {
-  return body.size() >= sizeof(kWireMagic) &&
-         std::memcmp(body.data(), kWireMagic, sizeof(kWireMagic)) == 0;
-}
-
 Result<Hello> DecodeHello(std::string_view body) {
-  if (!IsHelloFrame(body)) {
+  if (body.size() < sizeof(kWireMagic) ||
+      std::memcmp(body.data(), kWireMagic, sizeof(kWireMagic)) != 0) {
     return Status::InvalidArgument("not a hello frame (bad magic)");
   }
   BinaryReader r(body.substr(sizeof(kWireMagic)));
   Hello hello;
   XQ_ASSIGN_OR_RETURN(hello.major, r.GetU8());
   XQ_ASSIGN_OR_RETURN(hello.minor, r.GetU8());
-  XQ_ASSIGN_OR_RETURN(hello.features, r.GetU32());
   if (!r.AtEnd()) {
     return Status::Corruption("trailing bytes after hello");
   }
@@ -84,17 +69,12 @@ std::string EncodeRequest(const Request& request) {
   w.PutU64(request.id);
   w.PutU8(static_cast<uint8_t>(request.mode));
   w.PutString(request.text);
-  if (request.has_options) {
-    uint8_t flags = 0;
-    if (request.options.trace) flags |= kOptTrace;
-    if (request.options.bypass_cache) flags |= kOptBypassCache;
-    if (request.options.trace_id != 0) flags |= kOptTraceId;
-    if (request.options.min_lsn != 0) flags |= kOptMinLsn;
-    w.PutU8(flags);
-    w.PutU32(request.options.deadline_ms);
-    if (request.options.trace_id != 0) w.PutU64(request.options.trace_id);
-    if (request.options.min_lsn != 0) w.PutU64(request.options.min_lsn);
-  }
+  const common::QueryOptions& options = request.options;
+  w.PutU8((options.trace ? kOptTrace : 0) |
+          (options.bypass_cache ? kOptBypassCache : 0));
+  w.PutU32(options.deadline_ms);
+  w.PutU64(options.trace_id);
+  w.PutU64(options.min_lsn);
   return w.TakeBuffer();
 }
 
@@ -108,21 +88,12 @@ Result<Request> DecodeRequest(std::string_view body) {
   }
   request.mode = static_cast<RequestMode>(mode);
   XQ_ASSIGN_OR_RETURN(request.text, r.GetString());
-  if (!r.AtEnd()) {
-    // Optional options tail (sent only after kFeatureQueryOptions was
-    // negotiated; its absence means defaults).
-    XQ_ASSIGN_OR_RETURN(uint8_t flags, r.GetU8());
-    XQ_ASSIGN_OR_RETURN(request.options.deadline_ms, r.GetU32());
-    request.options.trace = (flags & kOptTrace) != 0;
-    request.options.bypass_cache = (flags & kOptBypassCache) != 0;
-    if ((flags & kOptTraceId) != 0) {
-      XQ_ASSIGN_OR_RETURN(request.options.trace_id, r.GetU64());
-    }
-    if ((flags & kOptMinLsn) != 0) {
-      XQ_ASSIGN_OR_RETURN(request.options.min_lsn, r.GetU64());
-    }
-    request.has_options = true;
-  }
+  XQ_ASSIGN_OR_RETURN(uint8_t flags, r.GetU8());
+  request.options.trace = (flags & kOptTrace) != 0;
+  request.options.bypass_cache = (flags & kOptBypassCache) != 0;
+  XQ_ASSIGN_OR_RETURN(request.options.deadline_ms, r.GetU32());
+  XQ_ASSIGN_OR_RETURN(request.options.trace_id, r.GetU64());
+  XQ_ASSIGN_OR_RETURN(request.options.min_lsn, r.GetU64());
   if (!r.AtEnd()) {
     return Status::Corruption("trailing bytes after request");
   }
@@ -137,9 +108,7 @@ std::string EncodeResponseBody(const Response& response) {
     return w.TakeBuffer();
   }
   w.PutU8(static_cast<uint8_t>(response.kind));
-  uint8_t flags = response.flags;
-  if (response.lsn != 0) flags |= kFlagLsn;
-  w.PutU8(flags);
+  w.PutU8(response.flags);
   if (response.kind == PayloadKind::kRows) {
     w.PutU32(static_cast<uint32_t>(response.columns.size()));
     for (const std::string& col : response.columns) w.PutString(col);
@@ -150,7 +119,7 @@ std::string EncodeResponseBody(const Response& response) {
   }
   // Trailing position keeps cached bodies patchable: the cache rewrites
   // only the flags byte, never this field's offset.
-  if (response.lsn != 0) w.PutU64(response.lsn);
+  w.PutU64(response.lsn);
   return w.TakeBuffer();
 }
 
@@ -203,84 +172,31 @@ Result<Response> DecodeResponse(std::string_view body) {
   } else {
     XQ_ASSIGN_OR_RETURN(response.text, r.GetString());
   }
-  if ((response.flags & kFlagLsn) != 0) {
-    XQ_ASSIGN_OR_RETURN(response.lsn, r.GetU64());
-  }
+  XQ_ASSIGN_OR_RETURN(response.lsn, r.GetU64());
   if (!r.AtEnd()) {
     return Status::Corruption("trailing bytes after response");
   }
   return response;
 }
 
-// --- framing ----------------------------------------------------------
+// --- SQL routing ------------------------------------------------------
 
-namespace {
-
-// recv() into [buf, buf+len); returns bytes read, 0 on EOF, -1 on error.
-// `consumed_any` selects the timeout semantics documented on ReadFrame:
-// EAGAIN with nothing consumed keeps waiting (idle connection), EAGAIN
-// mid-frame is the slow-client violation.
-Result<size_t> ReadSome(int fd, char* buf, size_t len, bool consumed_any) {
-  while (true) {
-    ssize_t n = ::recv(fd, buf, len, 0);
-    if (n > 0) return static_cast<size_t>(n);
-    if (n == 0) return size_t{0};
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      if (consumed_any) {
-        return Status::Timeout("read timed out mid-frame");
-      }
-      continue;  // idle between frames: keep waiting
-    }
-    return Status::IoError(std::string("recv: ") + std::strerror(errno));
+std::string FirstSqlKeyword(std::string_view text) {
+  size_t i = text.find_first_not_of(" \t\r\n");
+  std::string word;
+  for (; i != std::string_view::npos && i < text.size(); ++i) {
+    char c = text[i];
+    if (!((c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z'))) break;
+    if (c >= 'A' && c <= 'Z') c += 'a' - 'A';
+    word.push_back(c);
   }
+  return word;
 }
 
-Status ReadExact(int fd, char* buf, size_t len, bool consumed_any) {
-  size_t done = 0;
-  while (done < len) {
-    XQ_ASSIGN_OR_RETURN(size_t n,
-                        ReadSome(fd, buf + done, len - done, consumed_any));
-    if (n == 0) {
-      return consumed_any ? Status::Corruption("eof mid-frame")
-                          : Status::NotFound("connection closed");
-    }
-    done += n;
-    consumed_any = true;
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status WriteFrame(int fd, std::string_view body) {
-  char header[4];
-  uint32_t len = static_cast<uint32_t>(body.size());
-  std::memcpy(header, &len, 4);
-  std::string buf(header, 4);
-  buf.append(body);
-  return net::WriteAll(fd, buf);
-}
-
-Result<std::string> ReadFrame(int fd, size_t max_bytes) {
-  char header[4];
-  // The first byte of the header may wait forever (idle session); once any
-  // byte arrives the peer owes us the rest of the frame within the socket's
-  // receive timeout.
-  XQ_RETURN_IF_ERROR(ReadExact(fd, header, 1, /*consumed_any=*/false));
-  XQ_RETURN_IF_ERROR(ReadExact(fd, header + 1, 3, /*consumed_any=*/true));
-  uint32_t len;
-  std::memcpy(&len, header, 4);
-  if (len > max_bytes) {
-    return Status::InvalidArgument("frame of " + std::to_string(len) +
-                                   " bytes exceeds limit of " +
-                                   std::to_string(max_bytes));
-  }
-  std::string body(len, '\0');
-  if (len > 0) {
-    XQ_RETURN_IF_ERROR(ReadExact(fd, body.data(), len, /*consumed_any=*/true));
-  }
-  return body;
+bool IsSqlWrite(std::string_view text) {
+  const std::string word = FirstSqlKeyword(text);
+  return word == "insert" || word == "update" || word == "delete" ||
+         word == "create" || word == "drop" || word == "analyze";
 }
 
 }  // namespace xomatiq::srv

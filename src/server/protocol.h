@@ -13,20 +13,16 @@
 namespace xomatiq::srv {
 
 // Length-prefixed binary wire protocol between xomatiq_server and its
-// clients (see DESIGN.md "Service layer" for the framing diagram).
+// clients (see DESIGN.md "Service layer"). Frames are net::WriteFrame /
+// net::ReadFrame's u32 body length | body; protocol 2.0 has one shape:
 //
-//   frame    := u32 body_length (little-endian) | body
-//   hello    := "XQWP" | u8 major | u8 minor | u32 feature_bits
+//   hello    := "XQWP" | u8 major | u8 minor
 //   request  := u64 request_id | u8 mode | string query_text
-//               | [u8 option_flags | u32 deadline_ms
-//                  | [u64 trace_id]                     (iff kOptTraceId)
-//                  | [u64 min_lsn]]                     (iff kOptMinLsn;
-//                    optional tail, flags gate each extra field)
+//               | u8 option_flags | u32 deadline_ms | u64 trace_id
+//               | u64 min_lsn
 //   response := u64 request_id | u8 status_code
 //               | string error_message                  (status_code != 0)
-//               | u8 kind | u8 flags | payload
-//               | [u64 lsn]                             (status_code == 0;
-//                    lsn present iff flags has kFlagLsn)
+//               | u8 kind | u8 flags | payload | u64 lsn (status_code == 0)
 //   payload  := rows: u32 ncols | ncols * string
 //                     | u32 nrows | nrows * tuple       (kind == kRows)
 //            := string                                  (kind == kText/kXml)
@@ -35,51 +31,27 @@ namespace xomatiq::srv {
 // strings, tagged values), so the wire shares one binary dialect with the
 // WAL and snapshots.
 //
-// Versioning: a session MAY open with a hello frame; the server answers
-// with its own hello (features = the intersection) and rejects a
-// mismatched major version with a typed kUnsupported error response. A
-// first frame that does not start with the magic is a legacy bare request
-// (protocol 1.0 behavior, no features) — existing clients keep working.
-// The optional request tail is only sent once the server has acknowledged
-// kFeatureQueryOptions.
+// Every session opens with a hello. The server answers with its own, or
+// with a typed error response (id 0) before closing: kUnsupported for
+// another major version, a decode error for a first frame that is not a
+// hello.
 
 inline constexpr size_t kDefaultMaxFrameBytes = 16u << 20;  // 16 MiB
 
-// --- protocol version & feature negotiation ---
+// --- protocol version ---
 
 inline constexpr char kWireMagic[4] = {'X', 'Q', 'W', 'P'};
-inline constexpr uint8_t kProtocolMajor = 1;
-inline constexpr uint8_t kProtocolMinor = 3;
+inline constexpr uint8_t kProtocolMajor = 2;
+inline constexpr uint8_t kProtocolMinor = 0;
 
-// Feature bits carried in the hello exchange.
-inline constexpr uint32_t kFeatureQueryOptions = 1u << 0;
-// The options tail may carry a client-generated u64 trace id (flagged by
-// kOptTraceId) for cross-process trace correlation. Requires
-// kFeatureQueryOptions; a 1.1 peer never sets kOptTraceId, so the tail
-// stays decodable in both directions.
-inline constexpr uint32_t kFeatureTraceContext = 1u << 1;
-// 1.3: LSN-aware sessions. The options tail may carry a u64 min_lsn
-// read-your-writes token (flagged by kOptMinLsn), and OK responses carry
-// the database LSN observed by the request as a trailing u64 (flagged by
-// kFlagLsn) — the commit LSN for writes, the serving position for reads.
-// Requires kFeatureQueryOptions for the request side.
-inline constexpr uint32_t kFeatureLsn = 1u << 2;
-inline constexpr uint32_t kSupportedFeatures =
-    kFeatureQueryOptions | kFeatureTraceContext | kFeatureLsn;
-
-// Hello body — used in both directions (the server's reply carries the
-// negotiated feature intersection).
+// Hello body, used in both directions.
 struct Hello {
   uint8_t major = kProtocolMajor;
   uint8_t minor = kProtocolMinor;
-  uint32_t features = kSupportedFeatures;
 };
 
 std::string EncodeHello(const Hello& hello);
 common::Result<Hello> DecodeHello(std::string_view body);
-// True when `body` opens with the wire magic (i.e. is a hello, not a
-// legacy bare request whose first bytes are a request id).
-bool IsHelloFrame(std::string_view body);
 
 enum class RequestMode : uint8_t {
   kSql = 0,      // one SQL statement (SELECT/DML/DDL/EXPLAIN/STATS text)
@@ -98,11 +70,7 @@ struct Request {
   uint64_t id = 0;
   RequestMode mode = RequestMode::kSql;
   std::string text;
-  // Per-query options (deadline / trace / cache bypass). Encoded as the
-  // optional request tail only when `has_options` is set; decoding a
-  // request without the tail leaves defaults and has_options == false.
   common::QueryOptions options;
-  bool has_options = false;
 };
 
 enum class PayloadKind : uint8_t {
@@ -116,7 +84,6 @@ inline constexpr uint8_t kMaxPayloadKind =
 // Response flag bits.
 inline constexpr uint8_t kFlagCached = 1;  // served from the result cache
 inline constexpr uint8_t kFlagTraced = 2;  // a query trace was recorded
-inline constexpr uint8_t kFlagLsn = 4;     // trailing u64 LSN present
 
 // Byte offset of the flags byte inside an OK response *body* (the part
 // after the request id): [0]=status, [1]=kind, [2]=flags. The result cache
@@ -132,11 +99,10 @@ struct Response {
   std::vector<std::string> columns;  // kRows
   std::vector<rel::Tuple> rows;      // kRows
   std::string text;                  // kText / kXml
-  // Database LSN observed by this request (0 = server did not attach
-  // one). For DML this is the commit LSN — feed it back as min_lsn on a
-  // subsequent replica read for read-your-writes. Encoded as the trailing
-  // u64 behind kFlagLsn, after the payload, so the result cache's stored
-  // bodies (which patch only the flags byte) stay valid.
+  // Database LSN observed by this request. For DML this is the commit
+  // LSN — feed it back as min_lsn on a subsequent replica read for
+  // read-your-writes. Encoded after the payload, so the result cache's
+  // stored bodies (which patch only the flags byte) stay valid.
   uint64_t lsn = 0;
 
   bool ok() const { return code == common::StatusCode::kOk; }
@@ -160,22 +126,14 @@ common::Result<Response> DecodeResponse(std::string_view body);
 // Convenience: an error response for `id` carrying `status`.
 std::string EncodeErrorResponse(uint64_t id, const common::Status& status);
 
-// --- framing over a connected socket / pipe fd ---
-// Both helpers loop over partial reads/writes and retry EINTR; writes use
-// MSG_NOSIGNAL so a dead peer surfaces as IoError, not SIGPIPE.
+// --- SQL routing ---
 
-common::Status WriteFrame(int fd, std::string_view body);
-
-// Reads one complete frame body. Status codes distinguish the outcomes a
-// session loop must treat differently:
-//   NotFound    clean EOF on a frame boundary (peer hung up)
-//   Timeout     SO_RCVTIMEO expired while a frame was partially read
-//               (the slow-client guard) -- never fired while idle between
-//               frames, where the read simply keeps waiting
-//   InvalidArgument  declared length exceeds `max_bytes`
-//   Corruption  EOF mid-frame
-//   IoError     any other socket error
-common::Result<std::string> ReadFrame(int fd, size_t max_bytes);
+// The first leading identifier of `text`, lowercased ("" when it opens
+// with something else).
+std::string FirstSqlKeyword(std::string_view text);
+// Whether the statement writes (insert, update, delete, create, drop,
+// analyze): it must run on a primary, and a read-only replica refuses it.
+bool IsSqlWrite(std::string_view text);
 
 }  // namespace xomatiq::srv
 

@@ -19,18 +19,8 @@ using common::Status;
 
 namespace {
 
-// Serves a cached body under `id`, marking it as a cache hit by patching
-// the single flags byte — the rows themselves are reused verbatim.
-std::string ServeCached(uint64_t id, std::string body) {
-  if (body.size() > kFlagsOffset) body[kFlagsOffset] |= kFlagCached;
-  rel::BinaryWriter w;
-  w.PutU64(id);
-  std::string out = w.TakeBuffer();
-  out += body;
-  return out;
-}
-
-std::string Finish(uint64_t id, std::string body) {
+// Prefixes an encoded response body with the request id.
+std::string WithId(uint64_t id, std::string_view body) {
   rel::BinaryWriter w;
   w.PutU64(id);
   std::string out = w.TakeBuffer();
@@ -39,23 +29,6 @@ std::string Finish(uint64_t id, std::string body) {
 }
 
 }  // namespace
-
-std::string FirstSqlKeyword(std::string_view text) {
-  size_t i = text.find_first_not_of(" \t\r\n");
-  std::string word;
-  for (; i != std::string_view::npos && i < text.size(); ++i) {
-    char c = text[i];
-    if (!((c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z'))) break;
-    if (c >= 'A' && c <= 'Z') c += 'a' - 'A';
-    word.push_back(c);
-  }
-  return word;
-}
-
-bool IsSqlMutation(std::string_view keyword) {
-  return keyword == "insert" || keyword == "update" || keyword == "delete" ||
-         keyword == "create" || keyword == "drop";
-}
 
 QueryService::QueryService(hounds::Warehouse* warehouse,
                            ServiceOptions options)
@@ -144,12 +117,42 @@ std::string QueryService::Dispatch(const Request& request,
       request.id, Status::InvalidArgument("unhandled request mode"));
 }
 
+std::string QueryService::ThroughCache(
+    const Request& request, bool cacheable,
+    std::optional<uint64_t> read_epoch,
+    const std::function<Result<Response>()>& run) {
+  ResultCache* cache = options_.cache.get();
+  // Cache entries are keyed on the pinned snapshot epoch, so a hit is
+  // byte-exact for the cut this request reads (no epoch = no caching).
+  cacheable = cacheable && cache != nullptr && read_epoch.has_value();
+  std::string key;
+  if (cacheable) {
+    key = ResultCache::MakeKey(static_cast<uint8_t>(request.mode),
+                               request.text, *read_epoch);
+    if (std::optional<std::string> body = cache->Lookup(key)) {
+      if (auto* rec = common::QueryLogScope::Current()) rec->cache_hit = true;
+      // Mark the hit by patching the single flags byte; the rows
+      // themselves are reused verbatim.
+      if (body->size() > kFlagsOffset) (*body)[kFlagsOffset] |= kFlagCached;
+      return WithId(request.id, *body);
+    }
+  }
+  Result<Response> response = run();
+  if (!response.ok()) return EncodeErrorResponse(request.id, response.status());
+  // Commit LSN for writes, serving position for reads. A hit re-serves
+  // the LSN its body was built with: older, but the rows are exactly those
+  // of the epoch the hit pinned, which the key names.
+  response->lsn = warehouse_->db()->durable_lsn();
+  std::string body = EncodeResponseBody(*response);
+  if (cacheable) cache->Insert(key, *read_epoch, body);
+  return WithId(request.id, body);
+}
+
 std::string QueryService::HandleSql(const Request& request,
                                     const common::QueryOptions& opts,
                                     std::optional<uint64_t> read_epoch) {
-  ResultCache* cache = options_.cache.get();
   const std::string keyword = FirstSqlKeyword(request.text);
-  if (options_.read_only && (IsSqlMutation(keyword) || keyword == "analyze")) {
+  if (options_.read_only && IsSqlWrite(request.text)) {
     static common::Counter* rejected =
         common::MetricsRegistry::Global().GetCounter(
             "server.read_only_rejected");
@@ -158,83 +161,53 @@ std::string QueryService::HandleSql(const Request& request,
         request.id, Status::ReadOnly("replica is read-only; send " +
                                      keyword + " to the primary"));
   }
-  // Cache entries are keyed on the pinned snapshot epoch, so a hit is
-  // byte-exact for the cut this request reads (no epoch = no caching).
-  const bool cacheable = cache != nullptr && keyword == "select" &&
-                         !opts.bypass_cache && read_epoch.has_value();
-  std::string key;
-  if (cacheable) {
-    key = ResultCache::MakeKey(static_cast<uint8_t>(request.mode),
-                               request.text, *read_epoch);
-    if (std::optional<std::string> body = cache->Lookup(key)) {
-      if (auto* rec = common::QueryLogScope::Current()) rec->cache_hit = true;
-      return ServeCached(request.id, *std::move(body));
+  auto run = [&]() -> Result<Response> {
+    common::QueryRequest qreq = common::QueryRequest::Sql(request.text, opts);
+    qreq.read_epoch = read_epoch;  // the Session owns the pinning Snapshot
+    XQ_ASSIGN_OR_RETURN(sql::QueryResult result,
+                        xomatiq_.engine()->Execute(qreq));
+    Response response;
+    if (!result.explain_text.empty()) {
+      response.kind = PayloadKind::kText;
+      response.text = std::move(result.explain_text);
+    } else if (result.schema.size() > 0 || !result.rows.empty()) {
+      response.kind = PayloadKind::kRows;
+      for (const rel::Column& col : result.schema.columns()) {
+        response.columns.push_back(col.name);
+      }
+      response.rows = std::move(result.rows);
+    } else {
+      response.kind = PayloadKind::kText;
+      response.text = "OK (" + std::to_string(result.affected) + " rows)";
     }
-  }
-  common::QueryRequest qreq = common::QueryRequest::Sql(request.text, opts);
-  qreq.read_epoch = read_epoch;  // the Session owns the pinning Snapshot
-  Result<sql::QueryResult> result = xomatiq_.engine()->Execute(qreq);
-  if (!result.ok()) return EncodeErrorResponse(request.id, result.status());
-  Response response;
-  response.id = request.id;
-  if (!result->explain_text.empty()) {
-    response.kind = PayloadKind::kText;
-    response.text = result->explain_text;
-  } else if (result->schema.size() > 0 || !result->rows.empty()) {
-    response.kind = PayloadKind::kRows;
-    for (const rel::Column& col : result->schema.columns()) {
-      response.columns.push_back(col.name);
-    }
-    response.rows = std::move(result->rows);
-  } else {
-    response.kind = PayloadKind::kText;
-    response.text = "OK (" + std::to_string(result->affected) + " rows)";
-  }
-  // Commit LSN for writes, serving position for reads. A hit re-serves
-  // the LSN its body was built with: older, but the rows are exactly those
-  // of the epoch the hit pinned, which the key names.
-  response.lsn = warehouse_->db()->durable_lsn();
-  std::string body = EncodeResponseBody(response);
-  if (cacheable) cache->Insert(key, *read_epoch, body);
-  return Finish(request.id, std::move(body));
+    return response;
+  };
+  return ThroughCache(request, keyword == "select" && !opts.bypass_cache,
+                      read_epoch, run);
 }
 
 std::string QueryService::HandleXq(const Request& request, bool as_xml,
                                    const common::QueryOptions& opts,
                                    std::optional<uint64_t> read_epoch) {
-  ResultCache* cache = options_.cache.get();
-  const bool use_cache =
-      cache != nullptr && !opts.bypass_cache && read_epoch.has_value();
-  std::string key;
-  if (use_cache) {
-    key = ResultCache::MakeKey(static_cast<uint8_t>(request.mode),
-                               request.text, *read_epoch);
-    if (std::optional<std::string> body = cache->Lookup(key)) {
-      if (auto* rec = common::QueryLogScope::Current()) rec->cache_hit = true;
-      return ServeCached(request.id, *std::move(body));
+  auto run = [&]() -> Result<Response> {
+    common::QueryRequest qreq;
+    qreq.mode = as_xml ? common::QueryMode::kXqXml : common::QueryMode::kXq;
+    qreq.text = request.text;
+    qreq.options = opts;
+    qreq.read_epoch = read_epoch;  // the Session owns the pinning Snapshot
+    XQ_ASSIGN_OR_RETURN(xq::XqResult result, xomatiq_.Execute(qreq));
+    Response response;
+    if (as_xml) {
+      response.kind = PayloadKind::kXml;
+      response.text = xml::WriteXml(xomatiq_.ResultsAsXml(result));
+    } else {
+      response.kind = PayloadKind::kRows;
+      response.columns = std::move(result.columns);
+      response.rows = std::move(result.rows);
     }
-  }
-  common::QueryRequest qreq;
-  qreq.mode = as_xml ? common::QueryMode::kXqXml : common::QueryMode::kXq;
-  qreq.text = request.text;
-  qreq.options = opts;
-  qreq.read_epoch = read_epoch;  // the Session owns the pinning Snapshot
-  Result<xq::XqResult> result = xomatiq_.Execute(qreq);
-  if (!result.ok()) return EncodeErrorResponse(request.id, result.status());
-  Response response;
-  response.id = request.id;
-  if (as_xml) {
-    response.kind = PayloadKind::kXml;
-    response.text = xml::WriteXml(xomatiq_.ResultsAsXml(*result));
-  } else {
-    response.kind = PayloadKind::kRows;
-    response.columns = std::move(result->columns);
-    response.rows = std::move(result->rows);
-  }
-  response.lsn = warehouse_->db()->durable_lsn();
-  std::string body = EncodeResponseBody(response);
-  if (use_cache) cache->Insert(key, *read_epoch, body);
-  return Finish(request.id, std::move(body));
+    return response;
+  };
+  return ThroughCache(request, !opts.bypass_cache, read_epoch, run);
 }
 
 }  // namespace xomatiq::srv

@@ -50,12 +50,6 @@ struct ServiceOptions {
   uint32_t min_lsn_wait_ms = 100;
 };
 
-// SQL keyword helpers shared by the service and Session: the first
-// leading identifier of `text`, lowercased ("" when it opens with
-// something else), and whether that keyword mutates.
-std::string FirstSqlKeyword(std::string_view text);
-bool IsSqlMutation(std::string_view keyword);
-
 // Transport-independent request handler: one instance per server, shared
 // by every connection. Per-request orchestration (query-log scope, trace,
 // min_lsn gate, snapshot pin) lives in Session; this class owns what is
@@ -108,6 +102,14 @@ class QueryService {
   std::string HandleXq(const Request& request, bool as_xml,
                        const common::QueryOptions& opts,
                        std::optional<uint64_t> read_epoch);
+  // The result-cache path both handlers share: serves a hit (flags byte
+  // patched to kFlagCached), or runs `run`, stamps the serving LSN on its
+  // response and, when `cacheable` and the request pinned an epoch,
+  // installs the encoded body under that epoch.
+  std::string ThroughCache(
+      const Request& request, bool cacheable,
+      std::optional<uint64_t> read_epoch,
+      const std::function<common::Result<Response>()>& run);
   // Stores a finished request trace: the ring always, the operator's
   // last-trace slot only when the client explicitly asked.
   void RecordTrace(bool explicit_trace, uint64_t trace_id, std::string json);

@@ -1,19 +1,14 @@
 #include "server/server.h"
 
-#include <arpa/inet.h>
-#include <errno.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 
 #include "common/fault_injector.h"
 #include "common/metrics.h"
+#include "common/net.h"
 #include "common/query_log.h"
 #include "common/string_util.h"
 
@@ -53,28 +48,7 @@ QueryServer::QueryServer(hounds::Warehouse* warehouse, ServerOptions options)
 QueryServer::~QueryServer() { Shutdown(); }
 
 Status QueryServer::Start() {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::IoError(std::string("socket: ") + std::strerror(errno));
-  }
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    return Status::InvalidArgument("bad listen address: " + options_.host);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    return Status::IoError(std::string("bind: ") + std::strerror(errno));
-  }
-  if (::listen(listen_fd_, 128) < 0) {
-    return Status::IoError(std::string("listen: ") + std::strerror(errno));
-  }
-  socklen_t len = sizeof(addr);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-  port_ = ntohs(addr.sin_port);
+  XQ_RETURN_IF_ERROR(listener_.Open(options_.host, options_.port, 128));
   pool_ = std::make_unique<BoundedThreadPool>(options_.workers,
                                               options_.max_queue);
   start_unix_s_ = static_cast<int64_t>(
@@ -145,7 +119,7 @@ Status QueryServer::StartAdmin() {
         "\"slow_queries\":%zu,\"query_log_total\":%llu,"
         "\"durable_lsn\":%llu,\"applied_lsn\":%llu",
         static_cast<double>(now_ns - start_steady_ns_) / 1e9,
-        static_cast<long long>(start_unix_s_), port_, sessions,
+        static_cast<long long>(start_unix_s_), port(), sessions,
         static_cast<long long>(reg.GetGauge("server.inflight")->Value()),
         pool_ != nullptr ? pool_->queue_depth() : 0,
         static_cast<unsigned long long>(
@@ -222,15 +196,9 @@ void QueryServer::Shutdown() {
   // Stop the admin endpoint first so its hooks never observe the server
   // mid-teardown.
   if (admin_ != nullptr) admin_->Shutdown();
-  if (listen_fd_ >= 0) {
-    // Unblocks accept(); the fd itself is closed after the thread exits.
-    ::shutdown(listen_fd_, SHUT_RDWR);
-  }
+  listener_.Shutdown();
   if (accept_thread_.joinable()) accept_thread_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  listener_.Close();
   {
     // Half-close live connections: readers see EOF and exit, while
     // sockets stay writable for responses still in flight.
@@ -252,21 +220,10 @@ void QueryServer::Shutdown() {
 
 void QueryServer::AcceptLoop() {
   while (!stopping_.load(std::memory_order_acquire)) {
-    int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // listener was shut down (or unrecoverable)
-    }
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    if (options_.read_timeout_ms > 0) {
-      timeval tv{};
-      tv.tv_sec = options_.read_timeout_ms / 1000;
-      tv.tv_usec = (options_.read_timeout_ms % 1000) * 1000;
-      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    }
+    common::Result<int> fd = listener_.Accept(options_.read_timeout_ms);
+    if (!fd.ok()) return;  // listener was shut down (or unrecoverable)
     auto conn = std::make_shared<Conn>();
-    conn->fd = fd;
+    conn->fd = *fd;
     conn->session = service_.StartSession();
     ServerMetrics::Get().connections->Inc();
     std::lock_guard lock(sessions_mu_);
@@ -282,10 +239,14 @@ void QueryServer::AcceptLoop() {
 }
 
 void QueryServer::SessionLoop(std::shared_ptr<Conn> conn) {
-  bool first_frame = true;
+  auto send = [&conn](std::string_view reply) {
+    std::lock_guard lock(conn->write_mu);
+    return net::WriteFrame(conn->fd, reply);
+  };
+  bool greeted = false;
   while (true) {
     common::Result<std::string> frame =
-        ReadFrame(conn->fd, options_.max_frame_bytes);
+        net::ReadFrame(conn->fd, options_.max_frame_bytes);
     if (frame.ok()) {
       // Fault point server.session.read: fail a successfully read frame
       // as if the socket read itself had failed.
@@ -294,52 +255,34 @@ void QueryServer::SessionLoop(std::shared_ptr<Conn> conn) {
       if (!injected.ok()) frame = injected;
     }
     if (!frame.ok()) {
-      const common::StatusCode code = frame.status().code();
-      if (code != common::StatusCode::kNotFound) {
-        // Timeout / oversized / corrupt: tell the peer why (best effort —
-        // it may already be gone), then drop the connection.
-        std::string reply = EncodeErrorResponse(0, frame.status());
-        std::lock_guard lock(conn->write_mu);
-        WriteFrame(conn->fd, reply);
+      // Timeout / oversized / corrupt: tell the peer why (best effort —
+      // it may already be gone), then drop the connection.
+      if (frame.status().code() != common::StatusCode::kNotFound) {
+        send(EncodeErrorResponse(0, frame.status()));
       }
       break;
     }
-    if (first_frame) {
-      first_frame = false;
-      if (IsHelloFrame(*frame)) {
-        common::Result<Hello> hello = DecodeHello(*frame);
-        if (!hello.ok()) {
-          std::string reply = EncodeErrorResponse(0, hello.status());
-          std::lock_guard lock(conn->write_mu);
-          WriteFrame(conn->fd, reply);
-          break;
-        }
-        if (hello->major != kProtocolMajor) {
-          std::string reply = EncodeErrorResponse(
-              0, Status::Unsupported(
-                     "protocol major version " +
-                     std::to_string(hello->major) + " not supported (server " +
-                     std::to_string(kProtocolMajor) + "." +
-                     std::to_string(kProtocolMinor) + ")"));
-          std::lock_guard lock(conn->write_mu);
-          WriteFrame(conn->fd, reply);
-          break;
-        }
-        Hello ack;
-        ack.features = hello->features & kSupportedFeatures;
-        std::string reply = EncodeHello(ack);
-        std::lock_guard lock(conn->write_mu);
-        if (!WriteFrame(conn->fd, reply).ok()) break;
-        continue;
+    if (!greeted) {
+      // The session must open with a hello of our major version.
+      common::Result<Hello> hello = DecodeHello(*frame);
+      Status refused = hello.status();
+      if (hello.ok() && hello->major != kProtocolMajor) {
+        refused = Status::Unsupported(
+            "protocol major version " + std::to_string(hello->major) +
+            " not supported (server " + std::to_string(kProtocolMajor) + "." +
+            std::to_string(kProtocolMinor) + ")");
       }
-      // No magic: a legacy client's bare request — fall through and treat
-      // it as protocol 1.0 with no negotiated features.
+      if (!refused.ok()) {
+        send(EncodeErrorResponse(0, refused));
+        break;
+      }
+      if (!send(EncodeHello(Hello{})).ok()) break;
+      greeted = true;
+      continue;
     }
     common::Result<Request> request = DecodeRequest(*frame);
     if (!request.ok()) {
-      std::string reply = EncodeErrorResponse(0, request.status());
-      std::lock_guard lock(conn->write_mu);
-      WriteFrame(conn->fd, reply);
+      send(EncodeErrorResponse(0, request.status()));
       break;  // framing is suspect; don't trust subsequent bytes
     }
     const uint64_t id = request->id;
@@ -355,14 +298,13 @@ void QueryServer::SessionLoop(std::shared_ptr<Conn> conn) {
             return;
           }
           std::lock_guard lock(conn->write_mu);
-          WriteFrame(conn->fd, reply);
+          net::WriteFrame(conn->fd, reply);
         });
     if (!admitted) {
       ServerMetrics::Get().rejected->Inc();
-      std::string reply = EncodeErrorResponse(
-          id, Status::Overloaded("admission queue full; retry later"));
-      std::lock_guard lock(conn->write_mu);
-      if (!WriteFrame(conn->fd, reply).ok()) break;
+      Status overloaded =
+          Status::Overloaded("admission queue full; retry later");
+      if (!send(EncodeErrorResponse(id, overloaded)).ok()) break;
     }
   }
   std::lock_guard lock(sessions_mu_);

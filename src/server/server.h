@@ -11,6 +11,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/net.h"
 #include "common/result.h"
 #include "datahounds/warehouse.h"
 #include "server/http_admin.h"
@@ -74,7 +75,7 @@ class QueryServer {
   void Shutdown();
 
   // Bound port (after Start()).
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return listener_.port(); }
 
   // Bound admin-endpoint port (0 when the admin server is disabled).
   uint16_t admin_port() const;
@@ -104,8 +105,7 @@ class QueryServer {
   hounds::Warehouse* warehouse_;
   QueryService service_;
   ServerOptions options_;
-  int listen_fd_ = -1;
-  uint16_t port_ = 0;
+  net::Listener listener_;
   std::atomic<bool> stopping_{false};
   std::unique_ptr<BoundedThreadPool> pool_;
   std::unique_ptr<HttpAdminServer> admin_;

@@ -146,13 +146,25 @@ TEST_F(RecoveryTest, CorruptSnapshotIsRejected) {
     ASSERT_TRUE((*db)->CreateTable("t", TwoCol()).ok());
     ASSERT_TRUE((*db)->Checkpoint().ok());
   }
-  // Flip a byte in the snapshot body.
   std::string path = dir_ + "/snapshot.db";
-  {
+  auto overwrite = [&path](std::streamoff at, std::ios::seekdir from,
+                           char c) {
     std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(-3, std::ios::end);
-    f.put('Z');
-  }
+    f.seekp(at, from);
+    f.put(c);
+  };
+  // The retired v1 format ("XQSNAP1", no base LSN) is an unknown magic.
+  // The magic follows its u32 length prefix.
+  overwrite(4 + 6, std::ios::beg, '1');
+  auto v1 = Database::Open(dir_);
+  ASSERT_FALSE(v1.ok());
+  EXPECT_EQ(v1.status().code(), common::StatusCode::kCorruption);
+  EXPECT_NE(v1.status().message().find("bad snapshot magic"),
+            std::string::npos)
+      << v1.status().ToString();
+  overwrite(4 + 6, std::ios::beg, '2');
+  // Flip a byte in the snapshot body.
+  overwrite(-3, std::ios::end, 'Z');
   auto db = Database::Open(dir_);
   ASSERT_FALSE(db.ok());
   EXPECT_EQ(db.status().code(), common::StatusCode::kCorruption);

@@ -4,8 +4,6 @@
 // client routing, cache invalidation on apply, stale-replica health, and
 // a concurrent writer/reader hammer (run under TSan in CI).
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -23,6 +21,7 @@
 #include "client/client.h"
 #include "client/cluster_client.h"
 #include "common/fault_injector.h"
+#include "common/net.h"
 #include "common/query_options.h"
 #include "datagen/corpus.h"
 #include "datahounds/warehouse.h"
@@ -63,16 +62,9 @@ bool PollUntil(const std::function<bool()>& pred, int timeout_ms) {
 // endpoint is HTTP/1.0 with Connection: close, so read-until-EOF frames
 // the response).
 std::string HttpGet(uint16_t port, const std::string& target) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    return "";
-  }
+  common::Result<int> dialed = net::Dial("127.0.0.1", port);
+  if (!dialed.ok()) return "";
+  const int fd = *dialed;
   std::string request = "GET " + target + " HTTP/1.0\r\n\r\n";
   size_t sent = 0;
   while (sent < request.size()) {

@@ -1,14 +1,9 @@
 // Wire-protocol robustness: encode/decode round trips, rejection of
-// malformed bodies, and the framing layer's behavior on truncated frames,
-// oversized lengths, partial reads/writes, clean EOF and slow peers.
+// malformed bodies, and the SQL write routing shared by the server and
+// the cluster client. The framing these bodies ride on is tested with
+// common/net (tests/common/net_test.cc).
 
 #include "server/protocol.h"
-
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
-
-#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -29,49 +24,67 @@ TEST(ProtocolTest, RequestRoundTrip) {
   EXPECT_EQ(decoded->text, request.text);
 }
 
-TEST(ProtocolTest, OptionsTraceIdRoundTrip) {
+TEST(ProtocolTest, OptionsRoundTrip) {
   Request request;
   request.id = 3;
   request.mode = RequestMode::kSql;
+  request.text = "SELECT COUNT(*) FROM kv";
+  request.options.deadline_ms = 250;
+  request.options.trace = true;
+  request.options.bypass_cache = true;
+  request.options.trace_id = 0xfeedfacecafebeefULL;
+  request.options.min_lsn = 0x1000000001ULL;
+  auto decoded = DecodeRequest(EncodeRequest(request));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->options, request.options);
+  // Default options travel as the same fixed-size block: one shape.
+  Request plain = request;
+  plain.options = {};
+  std::string encoded = EncodeRequest(plain);
+  EXPECT_EQ(encoded.size(), EncodeRequest(request).size());
+  auto decoded_plain = DecodeRequest(encoded);
+  ASSERT_TRUE(decoded_plain.ok());
+  EXPECT_EQ(decoded_plain->options, common::QueryOptions{});
+}
+
+TEST(ProtocolTest, OptionsTraceIdRoundTrip) {
+  Request request;
+  request.id = 4;
+  request.mode = RequestMode::kSql;
   request.text = "SELECT 1";
-  request.has_options = true;
   request.options.trace = true;
   request.options.deadline_ms = 250;
   request.options.trace_id = 0xfeedfacecafebeefULL;
   std::string with_id = EncodeRequest(request);
   auto decoded = DecodeRequest(with_id);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_TRUE(decoded->has_options);
   EXPECT_TRUE(decoded->options.trace);
   EXPECT_EQ(decoded->options.deadline_ms, 250u);
   EXPECT_EQ(decoded->options.trace_id, 0xfeedfacecafebeefULL);
-  // Without an id the options tail keeps its pre-trace-context shape —
-  // exactly 8 bytes shorter — so 1.1 decoders still accept it.
+  // No flag gates the id: without one its slot still travels, as zero.
   request.options.trace_id = 0;
   std::string without_id = EncodeRequest(request);
-  EXPECT_EQ(without_id.size() + 8, with_id.size());
+  EXPECT_EQ(without_id.size(), with_id.size());
   auto decoded_plain = DecodeRequest(without_id);
   ASSERT_TRUE(decoded_plain.ok());
   EXPECT_EQ(decoded_plain->options.trace_id, 0u);
+  EXPECT_TRUE(decoded_plain->options.trace);
 }
 
 TEST(ProtocolTest, OptionsMinLsnRoundTrip) {
   Request request;
-  request.id = 4;
+  request.id = 5;
   request.mode = RequestMode::kSql;
   request.text = "SELECT COUNT(*) FROM kv";
-  request.has_options = true;
   request.options.min_lsn = 0x1000000001ULL;
   std::string with_lsn = EncodeRequest(request);
   auto decoded = DecodeRequest(with_lsn);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_TRUE(decoded->has_options);
   EXPECT_EQ(decoded->options.min_lsn, 0x1000000001ULL);
-  // Without a token the tail keeps its pre-1.3 shape — exactly 8 bytes
-  // shorter — so 1.2 decoders still accept it.
+  // No flag gates the token: without one its slot still travels, as zero.
   request.options.min_lsn = 0;
   std::string without_lsn = EncodeRequest(request);
-  EXPECT_EQ(without_lsn.size() + 8, with_lsn.size());
+  EXPECT_EQ(without_lsn.size(), with_lsn.size());
   auto decoded_plain = DecodeRequest(without_lsn);
   ASSERT_TRUE(decoded_plain.ok());
   EXPECT_EQ(decoded_plain->options.min_lsn, 0u);
@@ -83,36 +96,23 @@ TEST(ProtocolTest, ResponseLsnRoundTrip) {
   response.kind = PayloadKind::kRows;
   response.columns = {"n"};
   response.rows.push_back({rel::Value::Int(5)});
-  response.flags = kFlagLsn;
   response.lsn = 987654321;
   auto decoded = DecodeResponse(EncodeResponse(response));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->lsn, 987654321u);
   ASSERT_EQ(decoded->rows.size(), 1u);
   EXPECT_EQ(decoded->rows[0][0].AsInt(), 5);
-  // No flag, no trailing u64 — a 1.2 response decodes with lsn 0.
-  response.flags = 0;
-  response.lsn = 0;
-  auto decoded_plain = DecodeResponse(EncodeResponse(response));
-  ASSERT_TRUE(decoded_plain.ok());
-  EXPECT_EQ(decoded_plain->lsn, 0u);
 }
 
 TEST(ProtocolTest, LsnTrailsPayloadSoCachedBodiesStayPatchable) {
-  // The trailing LSN sits AFTER the payload, so the result cache's
-  // flags-byte patching (previous test) remains valid for LSN-stamped
-  // bodies: byte kFlagsOffset is still the flags byte.
+  // The LSN sits AFTER the payload, so the result cache's flags-byte
+  // patching remains valid for LSN-stamped bodies: byte kFlagsOffset is
+  // still the flags byte.
   Response response;
   response.id = 12;
   response.kind = PayloadKind::kText;
   response.text = "payload";
-  std::string plain = EncodeResponseBody(response);
-  response.flags = kFlagLsn;
   response.lsn = 42;
-  std::string stamped = EncodeResponseBody(response);
-  EXPECT_EQ(stamped.size(), plain.size() + 8);
-  EXPECT_EQ(stamped[kFlagsOffset] & kFlagLsn, kFlagLsn);
-  stamped[kFlagsOffset] |= kFlagCached;
   std::string framed = EncodeResponse(response);
   framed[8 + kFlagsOffset] |= kFlagCached;
   auto decoded = DecodeResponse(framed);
@@ -122,16 +122,64 @@ TEST(ProtocolTest, LsnTrailsPayloadSoCachedBodiesStayPatchable) {
   EXPECT_EQ(decoded->text, "payload");
 }
 
+TEST(ProtocolTest, HelloRoundTrip) {
+  Hello hello;
+  hello.minor = 7;
+  std::string encoded = EncodeHello(hello);
+  auto decoded = DecodeHello(encoded);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->major, kProtocolMajor);
+  EXPECT_EQ(decoded->minor, 7);
+  // A request body is not a hello...
+  Request request;
+  request.text = "SELECT 1";
+  EXPECT_EQ(DecodeHello(EncodeRequest(request)).status().code(),
+            StatusCode::kInvalidArgument);
+  // ...and a hello carries nothing after its version.
+  EXPECT_EQ(DecodeHello(encoded + "x").status().code(),
+            StatusCode::kCorruption);
+}
+
+// Protocol 2.0 has no feature bits: what 1.x negotiated is part of the
+// one wire shape, so the version in the hello is the whole advertisement.
 TEST(ProtocolTest, HelloAdvertisesLsnFeature) {
-  EXPECT_NE(kSupportedFeatures & kFeatureLsn, 0u);
+  auto hello = DecodeHello(EncodeHello(Hello{}));
+  ASSERT_TRUE(hello.ok()) << hello.status().ToString();
+  EXPECT_EQ(hello->major, 2);
+  // Every OK response carries its LSN, zero included.
+  Response response;
+  response.kind = PayloadKind::kText;
+  response.text = "t";
+  std::string unstamped = EncodeResponseBody(response);
+  response.lsn = 42;
+  EXPECT_EQ(EncodeResponseBody(response).size(), unstamped.size());
+  response.lsn = 0;
+  auto decoded = DecodeResponse(EncodeResponse(response));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->lsn, 0u);
+  EXPECT_EQ(decoded->text, "t");
 }
 
 TEST(ProtocolTest, HelloAdvertisesTraceContextFeature) {
-  Hello hello;
-  EXPECT_NE(kSupportedFeatures & kFeatureTraceContext, 0u);
-  auto decoded = DecodeHello(EncodeHello(hello));
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->features, hello.features);
+  std::string encoded = EncodeHello(Hello{});
+  auto hello = DecodeHello(encoded);
+  ASSERT_TRUE(hello.ok()) << hello.status().ToString();
+  EXPECT_EQ(hello->major, 2);
+  // Magic and version only: a 1.x hello's trailing feature word is refused.
+  EXPECT_EQ(encoded.size(), sizeof(kWireMagic) + 2);
+  Hello legacy;
+  legacy.major = 1;
+  legacy.minor = 3;
+  EXPECT_EQ(DecodeHello(EncodeHello(legacy) + std::string(4, '\x07'))
+                .status()
+                .code(),
+            StatusCode::kCorruption);
+  // Every request carries the trace id slot, set or not.
+  Request request;
+  request.text = "SELECT 1";
+  std::string untraced = EncodeRequest(request);
+  request.options.trace_id = 99;
+  EXPECT_EQ(EncodeRequest(request).size(), untraced.size());
 }
 
 TEST(ProtocolTest, RowsResponseRoundTrip) {
@@ -198,7 +246,8 @@ TEST(ProtocolTest, DecodeRejectsTrailingGarbage) {
 }
 
 TEST(ProtocolTest, DecodeRejectsTruncatedBody) {
-  std::string encoded = EncodeRequest(Request{0, RequestMode::kSql, "select"});
+  std::string encoded =
+      EncodeRequest(Request{0, RequestMode::kSql, "select", {}});
   for (size_t len = 0; len < encoded.size(); ++len) {
     EXPECT_FALSE(DecodeRequest(std::string_view(encoded.data(), len)).ok())
         << "prefix of " << len << " bytes decoded";
@@ -217,99 +266,21 @@ TEST(ProtocolTest, DecodeResponseRejectsBadStatusAndKind) {
   EXPECT_FALSE(DecodeResponse(bad_kind).ok());
 }
 
-// --- framing over a socketpair ---
-
-class FramingTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds_), 0);
-  }
-  void TearDown() override {
-    if (fds_[0] >= 0) ::close(fds_[0]);
-    if (fds_[1] >= 0) ::close(fds_[1]);
-  }
-  void CloseWriter() {
-    ::close(fds_[1]);
-    fds_[1] = -1;
-  }
-  int reader() const { return fds_[0]; }
-  int writer() const { return fds_[1]; }
-
-  int fds_[2] = {-1, -1};
-};
-
-TEST_F(FramingTest, RoundTrip) {
-  ASSERT_TRUE(WriteFrame(writer(), "payload").ok());
-  ASSERT_TRUE(WriteFrame(writer(), "").ok());
-  auto first = ReadFrame(reader(), kDefaultMaxFrameBytes);
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  EXPECT_EQ(*first, "payload");
-  auto second = ReadFrame(reader(), kDefaultMaxFrameBytes);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(*second, "");
-}
-
-TEST_F(FramingTest, CleanEofIsNotFound) {
-  CloseWriter();
-  auto frame = ReadFrame(reader(), kDefaultMaxFrameBytes);
-  ASSERT_FALSE(frame.ok());
-  EXPECT_EQ(frame.status().code(), StatusCode::kNotFound);
-}
-
-TEST_F(FramingTest, EofMidHeaderIsCorruption) {
-  ASSERT_EQ(::send(writer(), "\x08\x00", 2, 0), 2);
-  CloseWriter();
-  auto frame = ReadFrame(reader(), kDefaultMaxFrameBytes);
-  ASSERT_FALSE(frame.ok());
-  EXPECT_EQ(frame.status().code(), StatusCode::kCorruption);
-}
-
-TEST_F(FramingTest, EofMidBodyIsCorruption) {
-  uint32_t len = 100;
-  ASSERT_EQ(::send(writer(), &len, 4, 0), 4);
-  ASSERT_EQ(::send(writer(), "partial", 7, 0), 7);
-  CloseWriter();
-  auto frame = ReadFrame(reader(), kDefaultMaxFrameBytes);
-  ASSERT_FALSE(frame.ok());
-  EXPECT_EQ(frame.status().code(), StatusCode::kCorruption);
-}
-
-TEST_F(FramingTest, OversizedLengthIsInvalidArgument) {
-  uint32_t len = 1u << 30;
-  ASSERT_EQ(::send(writer(), &len, 4, 0), 4);
-  auto frame = ReadFrame(reader(), /*max_bytes=*/1024);
-  ASSERT_FALSE(frame.ok());
-  EXPECT_EQ(frame.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST_F(FramingTest, PartialWritesReassemble) {
-  std::string body(1000, 'q');
-  std::thread writer_thread([this, &body] {
-    std::string framed;
-    uint32_t len = static_cast<uint32_t>(body.size());
-    framed.append(reinterpret_cast<char*>(&len), 4);
-    framed += body;
-    for (char c : framed) {
-      ASSERT_EQ(::send(writer(), &c, 1, 0), 1);
-    }
-  });
-  auto frame = ReadFrame(reader(), kDefaultMaxFrameBytes);
-  writer_thread.join();
-  ASSERT_TRUE(frame.ok());
-  EXPECT_EQ(*frame, body);
-}
-
-TEST_F(FramingTest, SlowPeerMidFrameTimesOut) {
-  timeval tv{0, 50 * 1000};  // 50ms
-  ASSERT_EQ(::setsockopt(reader(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)),
-            0);
-  uint32_t len = 64;
-  ASSERT_EQ(::send(writer(), &len, 4, 0), 4);
-  ASSERT_EQ(::send(writer(), "abc", 3, 0), 3);
-  // ... and then the peer stalls without closing.
-  auto frame = ReadFrame(reader(), kDefaultMaxFrameBytes);
-  ASSERT_FALSE(frame.ok());
-  EXPECT_EQ(frame.status().code(), StatusCode::kTimeout);
+TEST(ProtocolTest, SqlWriteRoutingByFirstKeyword) {
+  EXPECT_EQ(FirstSqlKeyword(" \t\r\nSeLeCt * FROM t"), "select");
+  EXPECT_EQ(FirstSqlKeyword("(select 1)"), "");
+  EXPECT_EQ(FirstSqlKeyword(""), "");
+  EXPECT_TRUE(IsSqlWrite("  \n\tINSERT INTO t VALUES (1)"));
+  EXPECT_TRUE(IsSqlWrite("UpDaTe t SET a = 1"));
+  EXPECT_TRUE(IsSqlWrite("delete FROM t"));
+  EXPECT_TRUE(IsSqlWrite("CREATE TABLE t (a INT)"));
+  EXPECT_TRUE(IsSqlWrite("drop table t"));
+  EXPECT_TRUE(IsSqlWrite("ANALYZE"));
+  EXPECT_FALSE(IsSqlWrite("analyzed"));
+  EXPECT_FALSE(IsSqlWrite("(select 1)"));
+  EXPECT_FALSE(IsSqlWrite("EXPLAIN SELECT * FROM t"));
+  EXPECT_FALSE(IsSqlWrite("select * from t"));
+  EXPECT_FALSE(IsSqlWrite(""));
 }
 
 }  // namespace

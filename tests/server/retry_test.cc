@@ -3,9 +3,6 @@
 // ExecuteWithRetry, OVERLOADED backoff, per-query deadlines, cache bypass,
 // tracing, and a lossy result cache.
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -15,6 +12,7 @@
 
 #include "client/client.h"
 #include "common/fault_injector.h"
+#include "common/net.h"
 #include "common/query_options.h"
 #include "datagen/corpus.h"
 #include "datahounds/warehouse.h"
@@ -79,14 +77,9 @@ class RetryTest : public ::testing::Test {
   }
 
   int RawConnect() {
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(server_->port());
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    EXPECT_EQ(
-        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-    return fd;
+    auto fd = net::Dial("127.0.0.1", server_->port());
+    EXPECT_TRUE(fd.ok()) << fd.status().ToString();
+    return fd.value_or(-1);
   }
 
   std::unique_ptr<rel::Database> db_;
@@ -95,26 +88,19 @@ class RetryTest : public ::testing::Test {
   std::unique_ptr<QueryServer> server_;
 };
 
-TEST_F(RetryTest, HandshakeNegotiatesQueryOptionsFeature) {
-  StartServer();
-  auto client = Connect();
-  EXPECT_NE(client.features() & kFeatureQueryOptions, 0u)
-      << "server should acknowledge the query-options feature";
-}
-
 TEST_F(RetryTest, MajorVersionMismatchRejectedWithTypedStatus) {
   StartServer();
   int fd = RawConnect();
   Hello hello;
   hello.major = kProtocolMajor + 1;
-  ASSERT_TRUE(WriteFrame(fd, EncodeHello(hello)).ok());
-  auto reply = ReadFrame(fd, kDefaultMaxFrameBytes);
+  ASSERT_TRUE(net::WriteFrame(fd, EncodeHello(hello)).ok());
+  auto reply = net::ReadFrame(fd, kDefaultMaxFrameBytes);
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   auto response = DecodeResponse(*reply);
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->code, StatusCode::kUnsupported) << response->error;
   // The server closes the session after the rejection.
-  auto next = ReadFrame(fd, kDefaultMaxFrameBytes);
+  auto next = net::ReadFrame(fd, kDefaultMaxFrameBytes);
   EXPECT_FALSE(next.ok());
   ::close(fd);
 

@@ -4,8 +4,6 @@
 
 #include "server/server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -18,6 +16,7 @@
 
 #include "client/client.h"
 #include "common/metrics.h"
+#include "common/net.h"
 #include "datagen/corpus.h"
 #include "datahounds/warehouse.h"
 #include "relational/database.h"
@@ -77,15 +76,9 @@ class ServerTest : public ::testing::Test {
 
   // Raw socket for hostile-peer tests.
   int RawConnect() {
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(server_->port());
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                        sizeof(addr)),
-              0);
-    return fd;
+    auto fd = net::Dial("127.0.0.1", server_->port());
+    EXPECT_TRUE(fd.ok()) << fd.status().ToString();
+    return fd.value_or(-1);
   }
 
   std::unique_ptr<rel::Database> db_;
@@ -280,16 +273,39 @@ TEST_F(ServerTest, OverloadGetsTypedError) {
 TEST_F(ServerTest, MalformedRequestBodyGetsErrorThenClose) {
   StartServer();
   int fd = RawConnect();
-  ASSERT_TRUE(WriteFrame(fd, "\xff garbage that is not a request").ok());
-  auto reply = ReadFrame(fd, kDefaultMaxFrameBytes);
+  ASSERT_TRUE(net::WriteFrame(fd, EncodeHello(Hello{})).ok());
+  auto ack = net::ReadFrame(fd, kDefaultMaxFrameBytes);
+  ASSERT_TRUE(ack.ok() && DecodeHello(*ack).ok());
+  ASSERT_TRUE(net::WriteFrame(fd, "\xff garbage that is not a request").ok());
+  auto reply = net::ReadFrame(fd, kDefaultMaxFrameBytes);
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   auto response = DecodeResponse(*reply);
   ASSERT_TRUE(response.ok());
   EXPECT_FALSE(response->ok());
   EXPECT_EQ(response->id, 0u);
   // The server then drops the connection: next read is a clean EOF.
-  auto next = ReadFrame(fd, kDefaultMaxFrameBytes);
+  auto next = net::ReadFrame(fd, kDefaultMaxFrameBytes);
   EXPECT_FALSE(next.ok());
+  EXPECT_EQ(next.status().code(), StatusCode::kNotFound);
+  ::close(fd);
+}
+
+TEST_F(ServerTest, FirstFrameMustBeHello) {
+  StartServer();
+  int fd = RawConnect();
+  Request ping;
+  ping.id = 9;
+  ping.mode = RequestMode::kPing;
+  ASSERT_TRUE(net::WriteFrame(fd, EncodeRequest(ping)).ok());
+  auto reply = net::ReadFrame(fd, kDefaultMaxFrameBytes);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  auto response = DecodeResponse(*reply);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  // Refused before anything runs, so the id is the session's (0), not
+  // the request's.
+  ASSERT_FALSE(response->ok()) << "bare request answered: " << response->text;
+  EXPECT_EQ(response->id, 0u);
+  auto next = net::ReadFrame(fd, kDefaultMaxFrameBytes);
   EXPECT_EQ(next.status().code(), StatusCode::kNotFound);
   ::close(fd);
 }
@@ -301,7 +317,7 @@ TEST_F(ServerTest, OversizedFrameRejected) {
   int fd = RawConnect();
   uint32_t huge = 1u << 28;
   ASSERT_EQ(::send(fd, &huge, 4, 0), 4);
-  auto reply = ReadFrame(fd, kDefaultMaxFrameBytes);
+  auto reply = net::ReadFrame(fd, kDefaultMaxFrameBytes);
   ASSERT_TRUE(reply.ok());
   auto response = DecodeResponse(*reply);
   ASSERT_TRUE(response.ok());
@@ -318,12 +334,12 @@ TEST_F(ServerTest, SlowClientMidFrameTimesOut) {
   uint32_t len = 32;
   ASSERT_EQ(::send(fd, &len, 4, 0), 4);
   ASSERT_EQ(::send(fd, "abc", 3, 0), 3);
-  auto reply = ReadFrame(fd, kDefaultMaxFrameBytes);
+  auto reply = net::ReadFrame(fd, kDefaultMaxFrameBytes);
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   auto response = DecodeResponse(*reply);
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->code, StatusCode::kTimeout);
-  auto next = ReadFrame(fd, kDefaultMaxFrameBytes);
+  auto next = net::ReadFrame(fd, kDefaultMaxFrameBytes);
   EXPECT_FALSE(next.ok());
   ::close(fd);
 }

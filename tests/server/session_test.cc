@@ -49,10 +49,7 @@ Response Roundtrip(Session& session, RequestMode mode, const std::string& text,
   request.id = 7;
   request.mode = mode;
   request.text = text;
-  if (opts != nullptr) {
-    request.options = *opts;
-    request.has_options = true;
-  }
+  if (opts != nullptr) request.options = *opts;
   auto decoded = DecodeResponse(session.Handle(request));
   EXPECT_TRUE(decoded.ok());
   return decoded.ok() ? std::move(*decoded) : Response{};
