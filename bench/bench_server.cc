@@ -144,7 +144,7 @@ int main(int argc, char** argv) {
     // Distinct text every request defeats the cache while keeping the
     // work constant (node_ids are nonnegative, so the predicate is
     // always true and the query still scans).
-    return std::pair(srv::RequestMode::kSql,
+    return std::pair(common::QueryMode::kSql,
                      "SELECT COUNT(*) FROM xml_node WHERE node_id <> -" +
                          std::to_string(i + 1));
   };
@@ -163,7 +163,7 @@ int main(int argc, char** argv) {
     Report(&report, "cached_xq",
            RunPhase(server.port(), clients, seconds,
                     [&](size_t) {
-                      return std::pair(srv::RequestMode::kXq, xq_query);
+                      return std::pair(common::QueryMode::kXq, xq_query);
                     }),
            clients);
     Report(&report, "uncached_sql",
@@ -172,7 +172,7 @@ int main(int argc, char** argv) {
            RunPhase(server.port(), clients, seconds,
                     [&](size_t i) {
                       if (i % 2 == 0) {
-                        return std::pair(srv::RequestMode::kXq, xq_query);
+                        return std::pair(common::QueryMode::kXq, xq_query);
                       }
                       return uncached_sql(i);
                     }),
@@ -196,7 +196,7 @@ int main(int argc, char** argv) {
       srv::QueryServer server(fx->warehouse.get(), options);
       benchutil::Check(server.Start(), "start ops-on server");
       PhaseResult r = RunPhase(server.port(), clients, seconds, [&](size_t) {
-        return std::pair(srv::RequestMode::kXq, xq_query);
+        return std::pair(common::QueryMode::kXq, xq_query);
       });
       qps_on = r.seconds > 0 ? static_cast<double>(r.requests) / r.seconds : 0;
       Report(&report, "cached_xq_ops_on", r, clients);
@@ -211,7 +211,7 @@ int main(int argc, char** argv) {
       srv::QueryServer server(fx->warehouse.get(), options);
       benchutil::Check(server.Start(), "start ops-off server");
       PhaseResult r = RunPhase(server.port(), clients, seconds, [&](size_t) {
-        return std::pair(srv::RequestMode::kXq, xq_query);
+        return std::pair(common::QueryMode::kXq, xq_query);
       });
       qps_off = r.seconds > 0 ? static_cast<double>(r.requests) / r.seconds : 0;
       Report(&report, "cached_xq_ops_off", r, clients);

@@ -138,13 +138,11 @@ Status Client::Reconnect() {
 
 Result<srv::Response> Client::Execute(const common::QueryRequest& req) {
   if (fd_ < 0) return Status::IoError("client is closed");
-  // QueryMode mirrors RequestMode value-for-value (see query_request.h).
-  const srv::RequestMode mode = static_cast<srv::RequestMode>(req.mode);
   const std::string& text = req.text;
   common::QueryOptions opts = req.options;
   if (opts.trace && opts.trace_id == 0) opts.trace_id = GenerateTraceId();
   auto run = [&]() -> Result<srv::Response> {
-    const srv::Request request{next_id_++, mode, text, opts};
+    const srv::Request request{next_id_++, req.mode, text, opts};
     std::string frame_out;
     {
       common::TraceSpan span("client.encode");

@@ -66,12 +66,11 @@ class Client {
   common::Result<srv::Response> ExecuteWithRetry(
       const common::QueryRequest& req, const RetryPolicy& policy = {});
 
-  // Mode + text with default options. QueryMode mirrors srv::RequestMode
-  // value-for-value, so the cast is exact.
-  common::Result<srv::Response> Execute(srv::RequestMode mode,
+  // Mode + text with default options.
+  common::Result<srv::Response> Execute(common::QueryMode mode,
                                         std::string_view text) {
     common::QueryRequest req;
-    req.mode = static_cast<common::QueryMode>(mode);
+    req.mode = mode;
     req.text = std::string(text);
     return Execute(req);
   }

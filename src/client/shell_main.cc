@@ -70,7 +70,7 @@ void PrintRows(const srv::Response& response) {
               response.cached() ? " (cached)" : "");
 }
 
-void Run(cli::Client& client, srv::RequestMode mode,
+void Run(cli::Client& client, common::QueryMode mode,
          const std::string& text) {
   auto response = client.Execute(mode, text);
   if (!response.ok()) {
@@ -115,7 +115,7 @@ int main(int argc, char** argv) {
   std::printf("connected to %s:%u -- .help for commands\n", host.c_str(),
               port);
 
-  srv::RequestMode mode = srv::RequestMode::kXq;
+  common::QueryMode mode = common::QueryMode::kXq;
   std::string pending;
   char line[4096];
   std::printf("xq> ");
@@ -128,17 +128,17 @@ int main(int argc, char** argv) {
     if (pending.empty() && !text.empty() && text[0] == '.') {
       if (text == ".quit" || text == ".exit") break;
       if (text == ".sql") {
-        mode = srv::RequestMode::kSql;
+        mode = common::QueryMode::kSql;
       } else if (text == ".xq") {
-        mode = srv::RequestMode::kXq;
+        mode = common::QueryMode::kXq;
       } else if (text == ".xml") {
-        mode = srv::RequestMode::kXqXml;
+        mode = common::QueryMode::kXqXml;
       } else if (text == ".explain") {
-        mode = srv::RequestMode::kExplain;
+        mode = common::QueryMode::kExplain;
       } else if (text == ".stats") {
-        Run(*client, srv::RequestMode::kStats, "");
+        Run(*client, common::QueryMode::kStats, "");
       } else if (text == ".ping") {
-        Run(*client, srv::RequestMode::kPing, "");
+        Run(*client, common::QueryMode::kPing, "");
       } else {
         std::printf(
             ".sql | .xq | .xml | .explain : switch query mode\n"
@@ -146,7 +146,7 @@ int main(int argc, char** argv) {
             ".quit                        : leave\n"
             "anything else: a query, terminated by ';'\n");
       }
-      std::printf("%s> ", srv::RequestModeName(mode).data());
+      std::printf("%s> ", common::QueryModeName(mode).data());
       std::fflush(stdout);
       continue;
     }
@@ -161,7 +161,7 @@ int main(int argc, char** argv) {
     std::string query = pending.substr(0, end);
     pending.clear();
     if (!query.empty()) Run(*client, mode, query);
-    std::printf("%s> ", srv::RequestModeName(mode).data());
+    std::printf("%s> ", common::QueryModeName(mode).data());
     std::fflush(stdout);
   }
   return 0;

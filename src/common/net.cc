@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <utility>
 
 namespace xomatiq::net {
 
@@ -90,6 +91,62 @@ void Listener::Close() {
     ::close(fd_);
     fd_ = -1;
   }
+}
+
+Status Server::Start(const std::string& host, uint16_t port, int backlog,
+                     int read_timeout_ms, std::function<void(int)> serve) {
+  XQ_RETURN_IF_ERROR(listener_.Open(host, port, backlog));
+  serve_ = std::move(serve);
+  accept_thread_ = std::thread([this, read_timeout_ms] {
+    AcceptLoop(read_timeout_ms);
+  });
+  return Status::OK();
+}
+
+void Server::AcceptLoop(int read_timeout_ms) {
+  while (true) {
+    Result<int> fd = listener_.Accept(read_timeout_ms);
+    if (!fd.ok()) return;  // shut down (or unrecoverable)
+    // Under mu_, so the thread cannot finish before it is registered.
+    std::lock_guard lock(mu_);
+    live_.emplace(*fd, std::thread([this, fd = *fd] { Run(fd); }));
+  }
+}
+
+void Server::Run(int fd) {
+  serve_(fd);
+  std::thread previous;
+  {
+    std::lock_guard lock(mu_);
+    ::close(fd);
+    auto self = live_.find(fd);
+    previous = std::exchange(finished_, std::move(self->second));
+    live_.erase(self);
+    if (live_.empty()) idle_cv_.notify_all();
+  }
+  if (previous.joinable()) previous.join();
+}
+
+void Server::Shutdown(int how) {
+  // Once the accept thread is gone no connection can be added.
+  listener_.Shutdown();
+  if (accept_thread_.joinable()) accept_thread_.join();
+  std::thread last;
+  {
+    std::unique_lock lock(mu_);
+    for (const auto& [fd, thread] : live_) ::shutdown(fd, how);
+    idle_cv_.wait(lock, [this] { return live_.empty(); });
+    last = std::move(finished_);
+  }
+  // Joining the last thread to finish joins every earlier one: each
+  // finished thread joined its predecessor before returning.
+  if (last.joinable()) last.join();
+  listener_.Close();
+}
+
+size_t Server::connections() const {
+  std::lock_guard lock(mu_);
+  return live_.size();
 }
 
 Result<int> Dial(const std::string& host, uint16_t port) {

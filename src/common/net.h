@@ -1,21 +1,28 @@
 #ifndef XOMATIQ_COMMON_NET_H_
 #define XOMATIQ_COMMON_NET_H_
 
+#include <sys/socket.h>
+
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <mutex>
 #include <string>
 #include <string_view>
+#include <thread>
+#include <unordered_map>
 
 #include "common/result.h"
 
 namespace xomatiq::net {
 
-// The one TCP layer of the repository: every listener, dialer and frame
-// in src/ — the query service, the HTTP admin endpoint, WAL shipping and
-// both clients — goes through here, so the socket options, EINTR and
-// EPIPE handling and the framing exist exactly once. IPv4 dotted-quad
-// addresses only; a bad address is InvalidArgument, a socket failure
-// IoError.
+// The one TCP layer of the repository: every server, dialer and frame in
+// src/ — the query service, the HTTP admin endpoint, WAL shipping and
+// both clients — goes through here, so the accept loop, the connection
+// threads, the socket options, EINTR and EPIPE handling and the framing
+// exist exactly once. IPv4 dotted-quad addresses only; a bad address is
+// InvalidArgument, a socket failure IoError.
 
 // A listening socket. Open binds it; Accept hands out connected fds,
 // which the caller owns and closes. Shutdown may run on another thread
@@ -47,6 +54,52 @@ class Listener {
  private:
   int fd_ = -1;
   uint16_t port_ = 0;
+};
+
+// A TCP server: one accept thread, and one thread per connection that
+// runs `serve(fd)`. When serve returns, the connection's fd is closed and
+// its thread is joined (by the next connection thread to finish, or by
+// Shutdown), so a long-lived server with short-lived clients holds the
+// stacks of its live connections only. serve must not close the fd.
+class Server {
+ public:
+  Server() = default;
+  ~Server() { Shutdown(SHUT_RDWR); }
+
+  Server(const Server&) = delete;
+  Server& operator=(const Server&) = delete;
+
+  // Opens the listener (see Listener::Open and Listener::Accept for the
+  // arguments) and starts accepting.
+  common::Status Start(const std::string& host, uint16_t port, int backlog,
+                       int read_timeout_ms, std::function<void(int)> serve);
+
+  // Stops accepting, calls ::shutdown(fd, how) on every live connection,
+  // waits for every serve to return and closes the listener. SHUT_RD
+  // lets a serve that is mid-request still write its answer; SHUT_RDWR
+  // also fails its writes. Idempotent; not to be called concurrently.
+  void Shutdown(int how);
+
+  uint16_t port() const { return listener_.port(); }
+
+  // Connections whose serve has not returned yet.
+  size_t connections() const;
+
+ private:
+  void AcceptLoop(int read_timeout_ms);
+  void Run(int fd);
+
+  std::function<void(int)> serve_;
+  Listener listener_;
+  mutable std::mutex mu_;
+  std::condition_variable idle_cv_;  // live_ became empty
+  // Live connections by fd. A connection is closed and erased under mu_,
+  // so Shutdown never calls ::shutdown on a closed (maybe reused) fd.
+  std::unordered_map<int, std::thread> live_;
+  // The last connection thread that finished; joined by the next one to
+  // finish or by Shutdown.
+  std::thread finished_;
+  std::thread accept_thread_;
 };
 
 // Connects to host:port and sets TCP_NODELAY. The caller owns the fd.

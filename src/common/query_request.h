@@ -12,9 +12,8 @@
 namespace xomatiq::common {
 
 // What kind of query QueryRequest::text holds and how its result is
-// rendered. Mirrors the wire-level srv::RequestMode value-for-value so
-// the server can cast across, without pulling protocol headers into the
-// engine layers.
+// rendered. Its value is also the query protocol's mode byte
+// (server/protocol.h), so the values are fixed.
 enum class QueryMode : uint8_t {
   kSql = 0,      // one SQL statement (SELECT/DML/DDL/EXPLAIN/STATS text)
   kXq = 1,       // XomatiQ FLWR query, rows result

@@ -1,9 +1,7 @@
 #include "replication/repl_server.h"
 
 #include <sys/socket.h>
-#include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
 
 #include "common/fault_injector.h"
@@ -29,6 +27,11 @@ uint64_t NowUnixMs() {
 // re-checking for shutdown / newer records.
 constexpr size_t kShipBatch = 64;
 
+// Recent-record ring bounds: a replica whose resume point has been
+// evicted is re-bootstrapped with a fresh snapshot instead of an error.
+constexpr size_t kRingMaxRecords = 4096;
+constexpr size_t kRingMaxBytes = 32u << 20;
+
 }  // namespace
 
 ReplicationServer::ReplicationServer(rel::Database* db,
@@ -38,11 +41,10 @@ ReplicationServer::ReplicationServer(rel::Database* db,
 ReplicationServer::~ReplicationServer() { Shutdown(); }
 
 Status ReplicationServer::Start() {
-  XQ_RETURN_IF_ERROR(listener_.Open(options_.host, options_.port, 16));
-
   // Attach the sink under the exclusive write latch: writers invoke it
   // while holding the same latch, so this is the only safe publication
-  // point (WriteGuard publishes nothing here — no rows are stamped).
+  // point (WriteGuard publishes nothing here — no rows are stamped). It
+  // goes first so no replica session starts before the ring is fed.
   {
     rel::WriteGuard guard(db_);
     db_->SetWalSink(
@@ -50,65 +52,40 @@ Status ReplicationServer::Start() {
           OnRecord(lsn, payload);
         });
   }
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  return Status::OK();
-}
-
-void ReplicationServer::Shutdown() {
-  if (stopping_.exchange(true)) {
-    if (accept_thread_.joinable()) accept_thread_.join();
-    return;
-  }
-  // Unblock everything that could hold a latch or a lock before touching
-  // the database: session threads may be mid-send under the shared latch,
-  // and a stuck replica socket would otherwise park them there forever.
-  ring_cv_.notify_all();
-  listener_.Shutdown();
-  {
-    std::lock_guard<std::mutex> lk(sessions_mu_);
-    for (int fd : session_fds_) ::shutdown(fd, SHUT_RDWR);
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  {
+  Status started = server_.Start(options_.host, options_.port, 16,
+                                 /*read_timeout_ms=*/0,
+                                 [this](int fd) { SessionLoop(fd); });
+  if (!started.ok()) {
+    // Nothing will ship from the ring: stop copying commits into it.
     rel::WriteGuard guard(db_);
     db_->SetWalSink(nullptr);
   }
-  std::vector<std::thread> threads;
+  return started;
+}
+
+void ReplicationServer::Shutdown() {
+  if (stopping_.exchange(true)) return;
+  // Wake tailing sessions, and fail their reads and writes: a stuck
+  // replica socket would otherwise park its thread in a send forever.
   {
-    std::lock_guard<std::mutex> lk(sessions_mu_);
-    threads.swap(session_threads_);
+    std::lock_guard<std::mutex> lk(ring_mu_);
+    ring_cv_.notify_all();
   }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
-  }
-  listener_.Close();
+  server_.Shutdown(SHUT_RDWR);
+  rel::WriteGuard guard(db_);
+  db_->SetWalSink(nullptr);
 }
 
 void ReplicationServer::OnRecord(uint64_t lsn, std::string_view payload) {
   std::lock_guard<std::mutex> lk(ring_mu_);
   ring_.emplace_back(lsn, std::string(payload));
   ring_bytes_ += payload.size();
-  while (ring_.size() > options_.ring_max_records ||
-         (ring_bytes_ > options_.ring_max_bytes && ring_.size() > 1)) {
+  while (ring_.size() > kRingMaxRecords ||
+         (ring_bytes_ > kRingMaxBytes && ring_.size() > 1)) {
     ring_bytes_ -= ring_.front().second.size();
     ring_.pop_front();
   }
   ring_cv_.notify_all();
-}
-
-void ReplicationServer::AcceptLoop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    Result<int> accepted = listener_.Accept(/*read_timeout_ms=*/0);
-    if (!accepted.ok()) return;  // listener shut down (or unrecoverable)
-    const int fd = *accepted;
-    std::lock_guard<std::mutex> lk(sessions_mu_);
-    if (stopping_.load(std::memory_order_acquire)) {
-      ::close(fd);
-      return;
-    }
-    session_fds_.push_back(fd);
-    session_threads_.emplace_back([this, fd] { SessionLoop(fd); });
-  }
 }
 
 namespace {
@@ -158,7 +135,7 @@ void ReplicationServer::SessionLoop(int fd) {
   static common::Gauge* replicas_gauge =
       common::MetricsRegistry::Global().GetGauge("repl.replicas_connected");
 
-  replicas_gauge->Set(static_cast<int64_t>(++replicas_connected_));
+  replicas_gauge->Add(1);
 
   // The replica opens with its hello; everything after that flows our way.
   bool hello_ok = false;
@@ -282,19 +259,12 @@ void ReplicationServer::SessionLoop(int fd) {
     }
   }
 
-  {
-    std::lock_guard<std::mutex> lk(sessions_mu_);
-    session_fds_.erase(
-        std::remove(session_fds_.begin(), session_fds_.end(), fd),
-        session_fds_.end());
-    ::close(fd);
-  }
-  replicas_gauge->Set(static_cast<int64_t>(--replicas_connected_));
+  replicas_gauge->Add(-1);
 }
 
 ReplicationServer::Stats ReplicationServer::stats() const {
   Stats s;
-  s.replicas_connected = replicas_connected_.load(std::memory_order_relaxed);
+  s.replicas_connected = server_.connections();
   s.records_shipped = records_shipped_.load(std::memory_order_relaxed);
   s.bytes_shipped = bytes_shipped_.load(std::memory_order_relaxed);
   s.snapshots_shipped = snapshots_shipped_.load(std::memory_order_relaxed);
@@ -312,7 +282,7 @@ std::string ReplicationServer::StatuszJson() const {
       "\"durable_lsn\":%llu,\"records_shipped\":%llu,"
       "\"bytes_shipped\":%llu,\"snapshots_shipped\":%llu,"
       "\"ring_records\":%zu,\"ring_bytes\":%zu}",
-      listener_.port(), s.replicas_connected,
+      port(), s.replicas_connected,
       static_cast<unsigned long long>(s.durable_lsn),
       static_cast<unsigned long long>(s.records_shipped),
       static_cast<unsigned long long>(s.bytes_shipped),

@@ -7,9 +7,7 @@
 #include <deque>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
-#include <vector>
 
 #include "common/net.h"
 #include "common/result.h"
@@ -22,32 +20,27 @@ struct ReplicationServerOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;  // 0 = ephemeral; read back via port()
 
-  // Recent-record ring: a replica whose resume point has been evicted is
-  // re-bootstrapped with a fresh snapshot instead of an error.
-  size_t ring_max_records = 4096;
-  size_t ring_max_bytes = 32u << 20;
-
   // Idle-stream heartbeat cadence (also bounds how stale a healthy
   // replica's freshness clock can get).
   uint32_t heartbeat_ms = 200;
-
-  size_t max_frame_bytes = kReplMaxFrameBytes;
 };
 
 // Primary-side WAL shipper. Registers a WalSink on the database, buffers
-// recent records in a bounded in-memory ring, and serves any number of
-// replicas: each connection gets a snapshot if needed (cold start, or
-// resume point older than the ring), then a continuous tail of records
-// interleaved with heartbeats.
+// recent records in a bounded in-memory ring (4096 records, 32 MiB), and
+// serves any number of replicas: each connection gets a snapshot if
+// needed (cold start, or resume point older than the ring), then a
+// continuous tail of records interleaved with heartbeats.
 //
-// Threads: one accept loop plus one thread per connected replica. Session
+// Threads: a net::Server runs one thread per connected replica. Session
 // threads only ever *read* database state under the shared latch (for
 // snapshots); they never write, so replication cannot deadlock with the
-// query path.
+// query path. Shutdown closes every replica's socket both ways and waits
+// for its thread.
 class ReplicationServer {
  public:
-  // `db` must outlive the server. Start() attaches the WAL sink;
-  // Shutdown() (or the destructor) detaches it.
+  // `db` must outlive the server. Start() attaches the WAL sink (and
+  // detaches it again when it fails to bind); Shutdown() (or the
+  // destructor) detaches it.
   explicit ReplicationServer(rel::Database* db,
                              ReplicationServerOptions options = {});
   ~ReplicationServer();
@@ -58,7 +51,7 @@ class ReplicationServer {
   common::Status Start();
   void Shutdown();
 
-  uint16_t port() const { return listener_.port(); }
+  uint16_t port() const { return server_.port(); }
 
   struct Stats {
     size_t replicas_connected = 0;
@@ -76,7 +69,6 @@ class ReplicationServer {
 
  private:
   void OnRecord(uint64_t lsn, std::string_view payload);
-  void AcceptLoop();
   void SessionLoop(int fd);
   // Sends a snapshot taken at the current durable LSN; returns the base
   // LSN to resume streaming from, or an error when the socket died.
@@ -85,13 +77,7 @@ class ReplicationServer {
   rel::Database* db_;
   ReplicationServerOptions options_;
 
-  net::Listener listener_;
   std::atomic<bool> stopping_{false};
-  std::thread accept_thread_;
-
-  std::mutex sessions_mu_;
-  std::vector<std::thread> session_threads_;
-  std::vector<int> session_fds_;  // open sockets, for Shutdown() to poke
 
   // Ring of (lsn, record) pairs, newest at the back. Guarded by ring_mu_;
   // ring_cv_ wakes tailing sessions when a record lands or on shutdown.
@@ -100,10 +86,11 @@ class ReplicationServer {
   std::deque<std::pair<uint64_t, std::string>> ring_;
   size_t ring_bytes_ = 0;
 
-  std::atomic<size_t> replicas_connected_{0};
   std::atomic<uint64_t> records_shipped_{0};
   std::atomic<uint64_t> bytes_shipped_{0};
   std::atomic<uint64_t> snapshots_shipped_{0};
+
+  net::Server server_;  // last: its threads use every member above
 };
 
 }  // namespace xomatiq::repl

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <chrono>
 
+#include "common/backoff.h"
 #include "common/metrics.h"
 #include "common/net.h"
 #include "common/string_util.h"
@@ -60,9 +61,6 @@ Status ReplicaApplier::Start() {
 void ReplicaApplier::Shutdown() {
   {
     std::lock_guard<std::mutex> lk(mu_);
-    if (stopping_) {
-      // Already asked to stop; just make sure the thread is reaped.
-    }
     stopping_ = true;
     if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
   }
@@ -146,7 +144,9 @@ void ReplicaApplier::PauseApply(bool paused) {
 }
 
 void ReplicaApplier::Run() {
-  common::Backoff backoff(options_.reconnect);
+  // Only the backoff shape of the policy applies: a replica's job is to
+  // outwait primary restarts, so it retries forever.
+  common::Backoff backoff(common::RetryPolicy{});
   int attempt = 0;
   bool had_session = false;
   static common::Counter* reconnects_ctr =
@@ -208,7 +208,7 @@ bool ReplicaApplier::StreamOnce(int fd) {
 
   while (true) {
     if (is_stopping()) return true;
-    Result<std::string> frame = net::ReadFrame(fd, options_.max_frame_bytes);
+    Result<std::string> frame = net::ReadFrame(fd, kReplMaxFrameBytes);
     if (!frame.ok()) return is_stopping();
     Result<ReplMsg> msg = DecodeReplMsg(*frame);
     if (!msg.ok()) {

@@ -8,7 +8,6 @@
 #include <string>
 #include <thread>
 
-#include "common/backoff.h"
 #include "common/result.h"
 #include "relational/database.h"
 #include "replication/repl_wire.h"
@@ -19,18 +18,10 @@ struct ReplicaApplierOptions {
   std::string primary_host = "127.0.0.1";
   uint16_t primary_port = 0;
 
-  // Reconnect schedule after a lost primary. Only the backoff shape is
-  // used: the applier retries forever (deadline_ms/max_attempts do not
-  // apply — a replica's job is to outwait primary restarts) and resets
-  // the schedule after every successful connection.
-  common::RetryPolicy reconnect;
-
   // ready() turns false when no message (record or heartbeat) has arrived
   // within this window — the primary is gone or unreachable, so reads
   // here may be arbitrarily stale.
   uint32_t stale_after_ms = 3000;
-
-  size_t max_frame_bytes = kReplMaxFrameBytes;
 };
 
 // Point-in-time view of the applier, for /statusz and tests.
@@ -56,8 +47,10 @@ struct ReplicaStatus {
 //
 // Resilience: any stream damage (socket error, CRC mismatch, LSN gap)
 // drops the connection; the applier reconnects with jittered exponential
-// backoff and resumes from its last applied LSN, which the local WAL made
-// durable — a replica restart recovers like a primary and carries on.
+// backoff (common::RetryPolicy's default 10 ms to 1 s shape, retried
+// forever and reset after every successful connection) and resumes from
+// its last applied LSN, which the local WAL made durable — a replica
+// restart recovers like a primary and carries on.
 class ReplicaApplier {
  public:
   // `db` must outlive the applier and should be freshly opened (the

@@ -2,7 +2,6 @@
 
 #include <errno.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <cstdio>
 
@@ -15,6 +14,8 @@ using common::Status;
 namespace {
 
 constexpr size_t kMaxRequestBytes = 4096;
+// SO_RCVTIMEO for request reads; a stalled client is dropped.
+constexpr int kReadTimeoutMs = 2000;
 
 // Sends one complete HTTP/1.0 response; best effort (the scraper may
 // already be gone).
@@ -45,29 +46,11 @@ HttpAdminServer::HttpAdminServer(AdminHooks hooks, HttpAdminOptions options)
 HttpAdminServer::~HttpAdminServer() { Shutdown(); }
 
 Status HttpAdminServer::Start() {
-  XQ_RETURN_IF_ERROR(listener_.Open(options_.host, options_.port, 16));
-  thread_ = std::thread([this] { ServeLoop(); });
-  return Status::OK();
+  return server_.Start(options_.host, options_.port, 16, kReadTimeoutMs,
+                       [this](int fd) { ServeOne(fd); });
 }
 
-void HttpAdminServer::Shutdown() {
-  if (stopping_.exchange(true)) {
-    if (thread_.joinable()) thread_.join();
-    return;
-  }
-  listener_.Shutdown();
-  if (thread_.joinable()) thread_.join();
-  listener_.Close();
-}
-
-void HttpAdminServer::ServeLoop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    common::Result<int> fd = listener_.Accept(options_.read_timeout_ms);
-    if (!fd.ok()) return;  // listener was shut down (or unrecoverable)
-    ServeOne(*fd);
-    ::close(*fd);
-  }
-}
+void HttpAdminServer::Shutdown() { server_.Shutdown(SHUT_RDWR); }
 
 void HttpAdminServer::ServeOne(int fd) {
   // Read until the end of the request head (or caps / timeout). Bodies are

@@ -1,12 +1,10 @@
 #ifndef XOMATIQ_SERVER_HTTP_ADMIN_H_
 #define XOMATIQ_SERVER_HTTP_ADMIN_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <utility>
 
 #include "common/net.h"
@@ -16,9 +14,9 @@ namespace xomatiq::srv {
 
 // Content callbacks the admin endpoint serves. Each returns a complete
 // response body; the HTTP layer owns status lines, headers and framing.
-// Handlers run on the admin thread concurrently with query execution, so
-// they must only touch thread-safe state (metrics snapshots, the query
-// log, the trace ring).
+// Handlers run on the admin request's connection thread, concurrently
+// with query execution and with each other, so they must only touch
+// thread-safe state (metrics snapshots, the query log, the trace ring).
 struct AdminHooks {
   // GET /metrics — Prometheus text exposition (text/plain).
   std::function<std::string()> metrics;
@@ -39,15 +37,12 @@ struct AdminHooks {
 struct HttpAdminOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;  // 0 = ephemeral; read the bound port from port()
-  // SO_RCVTIMEO for request reads; a stalled client is dropped.
-  int read_timeout_ms = 2000;
 };
 
 // Minimal embedded HTTP/1.0 endpoint for operators and scrapers: GET-only,
-// Connection: close, one request per connection, zero dependencies. Runs
-// one listener thread that also serves requests inline — every handler is
-// a quick in-memory render, and serialized handling bounds the endpoint's
-// interference with query work on small machines.
+// Connection: close, one request per connection, zero dependencies. A
+// net::Server reads, renders and answers each request on its
+// connection's thread; every handler is a quick in-memory render.
 class HttpAdminServer {
  public:
   explicit HttpAdminServer(AdminHooks hooks, HttpAdminOptions options = {});
@@ -56,24 +51,21 @@ class HttpAdminServer {
   HttpAdminServer(const HttpAdminServer&) = delete;
   HttpAdminServer& operator=(const HttpAdminServer&) = delete;
 
-  // Binds, listens and spawns the serving thread.
+  // Binds, listens and starts accepting.
   common::Status Start();
 
   // Stops serving; idempotent.
   void Shutdown();
 
   // Bound port (after Start()).
-  uint16_t port() const { return listener_.port(); }
+  uint16_t port() const { return server_.port(); }
 
  private:
-  void ServeLoop();
   void ServeOne(int fd);
 
   AdminHooks hooks_;
   HttpAdminOptions options_;
-  net::Listener listener_;
-  std::atomic<bool> stopping_{false};
-  std::thread thread_;
+  net::Server server_;
 };
 
 }  // namespace xomatiq::srv

@@ -12,24 +12,6 @@ using common::StatusCode;
 using rel::BinaryReader;
 using rel::BinaryWriter;
 
-std::string_view RequestModeName(RequestMode mode) {
-  switch (mode) {
-    case RequestMode::kSql:
-      return "SQL";
-    case RequestMode::kXq:
-      return "XQ";
-    case RequestMode::kXqXml:
-      return "XQ_XML";
-    case RequestMode::kExplain:
-      return "EXPLAIN";
-    case RequestMode::kStats:
-      return "STATS";
-    case RequestMode::kPing:
-      return "PING";
-  }
-  return "?";
-}
-
 // --- hello ------------------------------------------------------------
 
 namespace {
@@ -83,10 +65,10 @@ Result<Request> DecodeRequest(std::string_view body) {
   Request request;
   XQ_ASSIGN_OR_RETURN(request.id, r.GetU64());
   XQ_ASSIGN_OR_RETURN(uint8_t mode, r.GetU8());
-  if (mode > kMaxRequestMode) {
+  if (mode > static_cast<uint8_t>(common::QueryMode::kPing)) {
     return Status::InvalidArgument("bad request mode " + std::to_string(mode));
   }
-  request.mode = static_cast<RequestMode>(mode);
+  request.mode = static_cast<common::QueryMode>(mode);
   XQ_ASSIGN_OR_RETURN(request.text, r.GetString());
   XQ_ASSIGN_OR_RETURN(uint8_t flags, r.GetU8());
   request.options.trace = (flags & kOptTrace) != 0;

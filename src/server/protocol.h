@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/query_options.h"
+#include "common/query_request.h"
 #include "common/result.h"
 #include "relational/schema.h"
 
@@ -53,22 +54,11 @@ struct Hello {
 std::string EncodeHello(const Hello& hello);
 common::Result<Hello> DecodeHello(std::string_view body);
 
-enum class RequestMode : uint8_t {
-  kSql = 0,      // one SQL statement (SELECT/DML/DDL/EXPLAIN/STATS text)
-  kXq = 1,       // XomatiQ FLWR query, rows response
-  kXqXml = 2,    // XomatiQ FLWR query, re-tagged XML response (§3.3)
-  kExplain = 3,  // XomatiQ query -> relational plans, text response
-  kStats = 4,    // server + engine metrics snapshot as JSON text
-  kPing = 5,     // liveness probe; echoes "pong"
-};
-inline constexpr uint8_t kMaxRequestMode =
-    static_cast<uint8_t>(RequestMode::kPing);
-
-std::string_view RequestModeName(RequestMode mode);
-
+// The mode byte is common::QueryMode's value; the decoder rejects any
+// byte above QueryMode::kPing.
 struct Request {
   uint64_t id = 0;
-  RequestMode mode = RequestMode::kSql;
+  common::QueryMode mode = common::QueryMode::kSql;
   std::string text;
   common::QueryOptions options;
 };

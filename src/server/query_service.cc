@@ -79,13 +79,13 @@ std::string QueryService::Dispatch(const Request& request,
           "server.request_latency_us");
   common::TraceSpan span("server.request", latency);
   switch (request.mode) {
-    case RequestMode::kSql:
+    case common::QueryMode::kSql:
       return HandleSql(request, opts, read_epoch);
-    case RequestMode::kXq:
+    case common::QueryMode::kXq:
       return HandleXq(request, /*as_xml=*/false, opts, read_epoch);
-    case RequestMode::kXqXml:
+    case common::QueryMode::kXqXml:
       return HandleXq(request, /*as_xml=*/true, opts, read_epoch);
-    case RequestMode::kExplain: {
+    case common::QueryMode::kExplain: {
       Result<std::string> text = xomatiq_.Explain(request.text);
       if (!text.ok()) return EncodeErrorResponse(request.id, text.status());
       Response response;
@@ -94,14 +94,14 @@ std::string QueryService::Dispatch(const Request& request,
       response.text = *std::move(text);
       return EncodeResponse(response);
     }
-    case RequestMode::kStats: {
+    case common::QueryMode::kStats: {
       Response response;
       response.id = request.id;
       response.kind = PayloadKind::kText;
       response.text = common::MetricsRegistry::Global().Snapshot().ToJson();
       return EncodeResponse(response);
     }
-    case RequestMode::kPing: {
+    case common::QueryMode::kPing: {
       if (options_.allow_sleep && request.text.rfind("#sleep ", 0) == 0) {
         int ms = std::atoi(request.text.c_str() + 7);
         if (ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(ms));

@@ -1,10 +1,13 @@
 #include "server/server.h"
 
 #include <sys/socket.h>
-#include <unistd.h>
 
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <mutex>
+#include <string_view>
 
 #include "common/fault_injector.h"
 #include "common/metrics.h"
@@ -36,10 +39,6 @@ struct ServerMetrics {
 
 }  // namespace
 
-QueryServer::Conn::~Conn() {
-  if (fd >= 0) ::close(fd);
-}
-
 QueryServer::QueryServer(hounds::Warehouse* warehouse, ServerOptions options)
     : warehouse_(warehouse),
       service_(warehouse, options.service),
@@ -48,9 +47,11 @@ QueryServer::QueryServer(hounds::Warehouse* warehouse, ServerOptions options)
 QueryServer::~QueryServer() { Shutdown(); }
 
 Status QueryServer::Start() {
-  XQ_RETURN_IF_ERROR(listener_.Open(options_.host, options_.port, 128));
   pool_ = std::make_unique<BoundedThreadPool>(options_.workers,
                                               options_.max_queue);
+  XQ_RETURN_IF_ERROR(server_.Start(options_.host, options_.port, 128,
+                                   options_.read_timeout_ms,
+                                   [this](int fd) { Serve(fd); }));
   start_unix_s_ = static_cast<int64_t>(
       std::chrono::duration_cast<std::chrono::seconds>(
           std::chrono::system_clock::now().time_since_epoch())
@@ -62,7 +63,6 @@ Status QueryServer::Start() {
   if (options_.admin_port >= 0) {
     XQ_RETURN_IF_ERROR(StartAdmin());
   }
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
   return Status::OK();
 }
 
@@ -103,11 +103,6 @@ Status QueryServer::StartAdmin() {
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now().time_since_epoch())
             .count());
-    size_t sessions;
-    {
-      std::lock_guard lock(sessions_mu_);
-      sessions = sessions_.size();
-    }
     uint64_t hits = reg.GetCounter("server.cache.hits")->Value();
     uint64_t misses = reg.GetCounter("server.cache.misses")->Value();
     uint64_t lookups = hits + misses;
@@ -119,9 +114,9 @@ Status QueryServer::StartAdmin() {
         "\"slow_queries\":%zu,\"query_log_total\":%llu,"
         "\"durable_lsn\":%llu,\"applied_lsn\":%llu",
         static_cast<double>(now_ns - start_steady_ns_) / 1e9,
-        static_cast<long long>(start_unix_s_), port(), sessions,
+        static_cast<long long>(start_unix_s_), port(), server_.connections(),
         static_cast<long long>(reg.GetGauge("server.inflight")->Value()),
-        pool_ != nullptr ? pool_->queue_depth() : 0,
+        pool_->queue_depth(),
         static_cast<unsigned long long>(
             reg.GetCounter("server.requests")->Value()),
         static_cast<unsigned long long>(hits),
@@ -189,64 +184,36 @@ Status QueryServer::StartAdmin() {
 }
 
 void QueryServer::Shutdown() {
-  if (stopping_.exchange(true)) {
-    if (accept_thread_.joinable()) accept_thread_.join();
-    return;
-  }
+  if (stopping_.exchange(true)) return;
   // Stop the admin endpoint first so its hooks never observe the server
   // mid-teardown.
   if (admin_ != nullptr) admin_->Shutdown();
-  listener_.Shutdown();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  listener_.Close();
-  {
-    // Half-close live connections: readers see EOF and exit, while
-    // sockets stay writable for responses still in flight.
-    std::lock_guard lock(sessions_mu_);
-    for (auto& [id, conn] : sessions_) {
-      ::shutdown(conn->fd, SHUT_RD);
-    }
-  }
+  // Half-close: readers see EOF and return once their admitted requests
+  // are answered, which the pool workers can still write.
+  server_.Shutdown(SHUT_RD);
   if (pool_ != nullptr) pool_->Drain();
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard lock(sessions_mu_);
-    threads.swap(session_threads_);
-  }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
-  }
 }
 
-void QueryServer::AcceptLoop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    common::Result<int> fd = listener_.Accept(options_.read_timeout_ms);
-    if (!fd.ok()) return;  // listener was shut down (or unrecoverable)
-    auto conn = std::make_shared<Conn>();
-    conn->fd = *fd;
-    conn->session = service_.StartSession();
-    ServerMetrics::Get().connections->Inc();
-    std::lock_guard lock(sessions_mu_);
-    if (stopping_.load(std::memory_order_acquire)) {
-      return;  // raced with Shutdown; ~Conn closes the socket
-    }
-    conn->id = next_session_id_++;
-    sessions_[conn->id] = conn;
-    ServerMetrics::Get().active_sessions->Set(
-        static_cast<int64_t>(sessions_.size()));
-    session_threads_.emplace_back([this, conn] { SessionLoop(conn); });
-  }
-}
-
-void QueryServer::SessionLoop(std::shared_ptr<Conn> conn) {
-  auto send = [&conn](std::string_view reply) {
-    std::lock_guard lock(conn->write_mu);
-    return net::WriteFrame(conn->fd, reply);
+void QueryServer::Serve(int fd) {
+  std::shared_ptr<Session> session = service_.StartSession();
+  ServerMetrics::Get().connections->Inc();
+  ServerMetrics::Get().active_sessions->Add(1);
+  // Pool workers answer this connection's requests on its socket, so
+  // every frame is written under write_mu, and the loop returns (and
+  // net::Server closes the fd) only once in_flight is back to 0.
+  std::mutex write_mu;
+  std::condition_variable answered_cv;
+  // Admitted requests not yet answered; a worker's answer takes it down
+  // under write_mu.
+  std::atomic<size_t> in_flight{0};
+  auto send = [&](std::string_view frame) {
+    std::lock_guard lock(write_mu);
+    return net::WriteFrame(fd, frame);
   };
   bool greeted = false;
   while (true) {
     common::Result<std::string> frame =
-        net::ReadFrame(conn->fd, options_.max_frame_bytes);
+        net::ReadFrame(fd, kDefaultMaxFrameBytes);
     if (frame.ok()) {
       // Fault point server.session.read: fail a successfully read frame
       // as if the socket read itself had failed.
@@ -286,31 +253,35 @@ void QueryServer::SessionLoop(std::shared_ptr<Conn> conn) {
       break;  // framing is suspect; don't trust subsequent bytes
     }
     const uint64_t id = request->id;
-    bool admitted = pool_->TryEnqueue(
-        [conn, request = *std::move(request)] {
-          std::string reply = conn->session->Handle(request);
-          // Fault point server.session.write: drop the response and sever
-          // the connection, as a worker crashing between execution and
-          // reply would; the client's retry layer must reconnect+resend.
-          if (common::FaultInjector::Global().ShouldFail(
-                  "server.session.write")) {
-            ::shutdown(conn->fd, SHUT_RDWR);
-            return;
-          }
-          std::lock_guard lock(conn->write_mu);
-          net::WriteFrame(conn->fd, reply);
-        });
+    ++in_flight;
+    bool admitted = pool_->TryEnqueue([&, request = *std::move(request)] {
+      std::string reply = session->Handle(request);
+      // Fault point server.session.write: drop the response and sever the
+      // connection, as a worker crashing between execution and reply
+      // would; the client's retry layer must reconnect+resend.
+      bool sever =
+          common::FaultInjector::Global().ShouldFail("server.session.write");
+      std::lock_guard lock(write_mu);
+      if (sever) {
+        ::shutdown(fd, SHUT_RDWR);
+      } else {
+        net::WriteFrame(fd, reply);
+      }
+      if (--in_flight == 0) answered_cv.notify_all();
+    });
     if (!admitted) {
+      --in_flight;
       ServerMetrics::Get().rejected->Inc();
       Status overloaded =
           Status::Overloaded("admission queue full; retry later");
       if (!send(EncodeErrorResponse(id, overloaded)).ok()) break;
     }
   }
-  std::lock_guard lock(sessions_mu_);
-  sessions_.erase(conn->id);
-  ServerMetrics::Get().active_sessions->Set(
-      static_cast<int64_t>(sessions_.size()));
+  {
+    std::unique_lock lock(write_mu);
+    answered_cv.wait(lock, [&] { return in_flight == 0; });
+  }
+  ServerMetrics::Get().active_sessions->Add(-1);
 }
 
 }  // namespace xomatiq::srv

@@ -5,11 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <unordered_map>
-#include <vector>
 
 #include "common/net.h"
 #include "common/result.h"
@@ -25,7 +21,6 @@ struct ServerOptions {
   uint16_t port = 0;  // 0 = ephemeral; read the bound port from port()
   size_t workers = 4;
   size_t max_queue = 64;  // admission queue bound (see BoundedThreadPool)
-  size_t max_frame_bytes = kDefaultMaxFrameBytes;
   // SO_RCVTIMEO on accepted sockets: a client that stalls mid-frame for
   // longer than this is timed out and disconnected. 0 disables the guard.
   int read_timeout_ms = 5000;
@@ -47,19 +42,20 @@ struct ServerOptions {
 // Multi-threaded TCP front end for one Database/Warehouse/XomatiQ stack.
 //
 // Threading model (see DESIGN.md "Service layer"):
-//   - one accept thread;
-//   - one reader thread per connection, which decodes frames and enqueues
-//     request tasks on the shared BoundedThreadPool;
+//   - a net::Server runs one reader thread per connection, which decodes
+//     frames and enqueues request tasks on the shared BoundedThreadPool,
+//     and returns (so the connection is closed and its thread joined)
+//     only once every request it admitted has been answered;
 //   - `workers` pool threads execute requests through the connection's
 //     logical srv::Session and write responses back, serialized
-//     per-connection by Conn::write_mu.
+//     per-connection by the reader's write mutex.
 // When the admission queue is full the reader answers OVERLOADED inline —
 // the server never queues without bound and never blocks the socket read
 // loop on the engine.
 //
-// Shutdown() is graceful: stop accepting, half-close every session for
-// reading (in-flight requests keep their sockets writable), drain the
-// pool so every admitted request gets its response, then join.
+// Shutdown() is graceful: stop accepting, half-close every connection for
+// reading (admitted requests keep their sockets writable), wait for every
+// reader to see its requests answered and return, then drain the pool.
 class QueryServer {
  public:
   QueryServer(hounds::Warehouse* warehouse, ServerOptions options = {});
@@ -68,14 +64,14 @@ class QueryServer {
   QueryServer(const QueryServer&) = delete;
   QueryServer& operator=(const QueryServer&) = delete;
 
-  // Binds, listens and spawns the accept thread.
+  // Starts the pool, binds, listens and starts accepting.
   common::Status Start();
 
   // Graceful stop; idempotent.
   void Shutdown();
 
   // Bound port (after Start()).
-  uint16_t port() const { return listener_.port(); }
+  uint16_t port() const { return server_.port(); }
 
   // Bound admin-endpoint port (0 when the admin server is disabled).
   uint16_t admin_port() const;
@@ -83,21 +79,8 @@ class QueryServer {
   QueryService* service() { return &service_; }
 
  private:
-  // One wire connection: shared by the reader thread and any worker
-  // running one of its requests; the last owner closes the socket, so a
-  // response can still be written after the reader exited. `session` is
-  // the logical srv::Session the requests execute through (snapshot
-  // acquisition, query-log scope, trace propagation).
-  struct Conn {
-    uint64_t id = 0;
-    int fd = -1;
-    std::mutex write_mu;  // serializes response frames on this socket
-    std::shared_ptr<Session> session;
-    ~Conn();
-  };
-
-  void AcceptLoop();
-  void SessionLoop(std::shared_ptr<Conn> conn);
+  // One connection's reader loop: hello, then request after request.
+  void Serve(int fd);
 
   // Builds the AdminHooks closures over this server's state.
   common::Status StartAdmin();
@@ -105,20 +88,12 @@ class QueryServer {
   hounds::Warehouse* warehouse_;
   QueryService service_;
   ServerOptions options_;
-  net::Listener listener_;
-  std::atomic<bool> stopping_{false};
   std::unique_ptr<BoundedThreadPool> pool_;
+  net::Server server_;
+  std::atomic<bool> stopping_{false};
   std::unique_ptr<HttpAdminServer> admin_;
-  std::thread accept_thread_;
   int64_t start_unix_s_ = 0;      // wall-clock second Start() succeeded
   uint64_t start_steady_ns_ = 0;  // steady clock at Start(), for uptime
-
-  std::mutex sessions_mu_;
-  uint64_t next_session_id_ = 1;
-  // Connections still reading; a connection removes itself when its
-  // reader exits. Shutdown half-closes whatever is left.
-  std::unordered_map<uint64_t, std::shared_ptr<Conn>> sessions_;
-  std::vector<std::thread> session_threads_;
 };
 
 }  // namespace xomatiq::srv

@@ -23,7 +23,8 @@ std::string Session::Handle(const Request& request) {
   requests_.fetch_add(1, std::memory_order_relaxed);
   // Outermost query-log scope: owns the record for this request; the
   // engine layers below annotate plan fingerprint / est-vs-actual rows.
-  common::QueryLogScope qlog(request.text, RequestModeName(request.mode));
+  common::QueryLogScope qlog(request.text,
+                             common::QueryModeName(request.mode));
   if (common::QueryLogRecord* rec = common::QueryLogScope::Current()) {
     rec->trace_id = request.options.trace_id;
   }
@@ -83,8 +84,9 @@ std::string Session::Execute(const Request& request,
   // WAL but invisible to snapshots, and a snapshot pinned in that window
   // would break the client's read-your-writes promise.
   if (opts.min_lsn != 0 &&
-      (request.mode == RequestMode::kSql || request.mode == RequestMode::kXq ||
-       request.mode == RequestMode::kXqXml)) {
+      (request.mode == common::QueryMode::kSql ||
+       request.mode == common::QueryMode::kXq ||
+       request.mode == common::QueryMode::kXqXml)) {
     if (warehouse->db()->committed_lsn() < opts.min_lsn) {
       bool reached =
           soptions.wait_for_lsn != nullptr &&
@@ -117,8 +119,9 @@ std::string Session::Execute(const Request& request,
   rel::Snapshot snap;
   std::optional<uint64_t> read_epoch;
   const bool pin =
-      request.mode == RequestMode::kXq || request.mode == RequestMode::kXqXml ||
-      (request.mode == RequestMode::kSql &&
+      request.mode == common::QueryMode::kXq ||
+      request.mode == common::QueryMode::kXqXml ||
+      (request.mode == common::QueryMode::kSql &&
        FirstSqlKeyword(request.text) == "select");
   if (pin) {
     snap = warehouse->db()->BeginSnapshot();

@@ -1,4 +1,4 @@
-// The TCP layer: the shared listener and dialer, and the u32
+// The TCP layer: the shared listener, server and dialer, and the u32
 // length-prefixed framing's behavior on truncated frames, oversized
 // lengths, partial reads/writes, clean EOF and slow peers.
 
@@ -6,11 +6,15 @@
 
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <pthread.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
+#include <fstream>
+#include <string>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -61,6 +65,77 @@ TEST(NetTest, ListenerAcceptsShutsDownAndCloses) {
   auto refused = Dial("127.0.0.1", port);
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), StatusCode::kIoError);
+}
+
+// This process's virtual size in kB, from /proc/self/status.
+size_t VmSizeKb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoul(line.substr(7));
+  }
+  return 0;
+}
+
+// The stack size, in kB, of a thread started with default attributes.
+size_t DefaultStackKb() {
+  pthread_attr_t attr;
+  pthread_attr_init(&attr);
+  size_t bytes = 0;
+  pthread_attr_getstacksize(&attr, &bytes);
+  pthread_attr_destroy(&attr);
+  return bytes / 1024;
+}
+
+void WaitForNoConnections(const Server& server) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.connections() > 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+TEST(NetTest, ServerReapsFinishedConnections) {
+  Server server;
+  ASSERT_TRUE(server.Start("127.0.0.1", 0, 16, 0, [](int) {}).ok());
+  auto cycle = [&server] {
+    auto fd = Dial("127.0.0.1", server.port());
+    ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+    char byte;
+    EXPECT_EQ(::recv(*fd, &byte, 1, 0), 0);  // serve returned: closed
+    ::close(*fd);
+  };
+  // Warm up: the first connections map the accept thread's malloc arena
+  // and the first cached stacks.
+  for (int i = 0; i < 8; ++i) cycle();
+  WaitForNoConnections(server);
+  const size_t before_kb = VmSizeKb();
+  for (int i = 0; i < 200; ++i) cycle();
+  WaitForNoConnections(server);
+  EXPECT_EQ(server.connections(), 0u);
+  const size_t after_kb = VmSizeKb();
+  EXPECT_LT(after_kb, before_kb + 50 * DefaultStackKb())
+      << "VmSize " << before_kb << " -> " << after_kb << " kB";
+  server.Shutdown(SHUT_RDWR);
+
+  // A half-close releases a connection idle between frames, and Shutdown
+  // waits for its serve to return.
+  Server idle;
+  std::atomic<bool> reading{false};
+  common::Status read = common::Status::OK();
+  ASSERT_TRUE(idle.Start("127.0.0.1", 0, 4, 0, [&](int fd) {
+                    reading.store(true);
+                    read = ReadFrame(fd, kMaxFrame).status();
+                  }).ok());
+  auto client = Dial("127.0.0.1", idle.port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  while (!reading.load()) std::this_thread::yield();
+  EXPECT_EQ(idle.connections(), 1u);
+  idle.Shutdown(SHUT_RD);
+  EXPECT_EQ(read.code(), StatusCode::kNotFound);
+  EXPECT_EQ(idle.connections(), 0u);
+  ::close(*client);
 }
 
 TEST(NetTest, BadAddressIsInvalidArgument) {

@@ -283,6 +283,24 @@ TEST_F(ReplicationTest, ColdStartTailsRecordsWithoutSnapshot) {
   EXPECT_GE(primary.shipper->stats().records_shipped, target);
 }
 
+TEST_F(ReplicationTest, FailedBindDetachesTheWalSink) {
+  // A shipper whose port is taken reports the error and afterwards copies
+  // no commit of its database into its ring.
+  PrimaryNode primary;
+  primary.db = rel::Database::OpenInMemory();
+  ASSERT_NO_FATAL_FAILURE(StartShipper(&primary));
+
+  std::unique_ptr<rel::Database> db = rel::Database::OpenInMemory();
+  ReplicationServerOptions sopts;
+  sopts.port = primary.shipper->port();
+  ReplicationServer taken(db.get(), sopts);
+  EXPECT_FALSE(taken.Start().ok());
+  ASSERT_NO_FATAL_FAILURE(CreateKv(db.get()));
+  ASSERT_NO_FATAL_FAILURE(InsertKv(db.get(), 0, 5));
+  EXPECT_EQ(db->durable_lsn(), 6u);
+  EXPECT_EQ(taken.stats().ring_records, 0u);
+}
+
 TEST_F(ReplicationTest, ReplicaResumesAfterPrimaryRestart) {
   const std::string dir = Dir("primary");
   PrimaryNode primary;

@@ -116,15 +116,15 @@ TEST(ConcurrencyTest, QueryServiceParallelMixedModes) {
         request.id = static_cast<uint64_t>(t * 1000 + i);
         switch ((t + i) % 3) {
           case 0:
-            request.mode = RequestMode::kSql;
+            request.mode = common::QueryMode::kSql;
             request.text = "SELECT COUNT(*) FROM xml_node";
             break;
           case 1:
-            request.mode = RequestMode::kXq;
+            request.mode = common::QueryMode::kXq;
             request.text = kEnzymeIdsXq;
             break;
           default:
-            request.mode = RequestMode::kStats;
+            request.mode = common::QueryMode::kStats;
             break;
         }
         auto response = DecodeResponse(session->Handle(request));
@@ -163,7 +163,7 @@ TEST(ConcurrencyTest, CachedAnswersNeverOlderThanCompletedSync) {
         const size_t done = syncs.load(std::memory_order_acquire);
         Request request;
         request.id = ++id;
-        request.mode = RequestMode::kXq;
+        request.mode = common::QueryMode::kXq;
         request.text = kEnzymeIdsXq;
         auto response = DecodeResponse(session->Handle(request));
         if (!response.ok() || !response->ok()) {

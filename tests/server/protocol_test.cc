@@ -15,7 +15,7 @@ using common::StatusCode;
 TEST(ProtocolTest, RequestRoundTrip) {
   Request request;
   request.id = 0x1122334455667788ull;
-  request.mode = RequestMode::kXqXml;
+  request.mode = common::QueryMode::kXqXml;
   request.text = "FOR $a IN document(\"db\")/root RETURN $a";
   auto decoded = DecodeRequest(EncodeRequest(request));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
@@ -27,7 +27,7 @@ TEST(ProtocolTest, RequestRoundTrip) {
 TEST(ProtocolTest, OptionsRoundTrip) {
   Request request;
   request.id = 3;
-  request.mode = RequestMode::kSql;
+  request.mode = common::QueryMode::kSql;
   request.text = "SELECT COUNT(*) FROM kv";
   request.options.deadline_ms = 250;
   request.options.trace = true;
@@ -50,7 +50,7 @@ TEST(ProtocolTest, OptionsRoundTrip) {
 TEST(ProtocolTest, OptionsTraceIdRoundTrip) {
   Request request;
   request.id = 4;
-  request.mode = RequestMode::kSql;
+  request.mode = common::QueryMode::kSql;
   request.text = "SELECT 1";
   request.options.trace = true;
   request.options.deadline_ms = 250;
@@ -74,7 +74,7 @@ TEST(ProtocolTest, OptionsTraceIdRoundTrip) {
 TEST(ProtocolTest, OptionsMinLsnRoundTrip) {
   Request request;
   request.id = 5;
-  request.mode = RequestMode::kSql;
+  request.mode = common::QueryMode::kSql;
   request.text = "SELECT COUNT(*) FROM kv";
   request.options.min_lsn = 0x1000000001ULL;
   std::string with_lsn = EncodeRequest(request);
@@ -247,7 +247,7 @@ TEST(ProtocolTest, DecodeRejectsTrailingGarbage) {
 
 TEST(ProtocolTest, DecodeRejectsTruncatedBody) {
   std::string encoded =
-      EncodeRequest(Request{0, RequestMode::kSql, "select", {}});
+      EncodeRequest(Request{0, common::QueryMode::kSql, "select", {}});
   for (size_t len = 0; len < encoded.size(); ++len) {
     EXPECT_FALSE(DecodeRequest(std::string_view(encoded.data(), len)).ok())
         << "prefix of " << len << " bytes decoded";

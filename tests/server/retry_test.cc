@@ -163,13 +163,13 @@ TEST_F(RetryTest, OverloadedIsRetriedUntilTheQueueDrains) {
   // Pin the single worker and fill the single queue slot.
   std::thread t1([&] {
     auto client = Connect();
-    auto r = client.Execute(RequestMode::kPing, "#sleep 400");
+    auto r = client.Execute(common::QueryMode::kPing, "#sleep 400");
     EXPECT_TRUE(r.ok() && r->ok());
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   std::thread t2([&] {
     auto client = Connect();
-    auto r = client.Execute(RequestMode::kPing, "#sleep 100");
+    auto r = client.Execute(common::QueryMode::kPing, "#sleep 100");
     EXPECT_TRUE(r.ok() && r->ok());
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -177,7 +177,7 @@ TEST_F(RetryTest, OverloadedIsRetriedUntilTheQueueDrains) {
   // A bare Execute gets typed OVERLOADED pushback right now; the retrying
   // call backs off until the queue drains and then succeeds.
   auto client = Connect();
-  auto refused = client.Execute(RequestMode::kPing, "");
+  auto refused = client.Execute(common::QueryMode::kPing, "");
   ASSERT_TRUE(refused.ok());
   EXPECT_EQ(refused->code, StatusCode::kOverloaded);
 
@@ -317,7 +317,7 @@ TEST_F(RetryTest, ConnectWithRetryGivesUpTypedAndRecoversTransport) {
   StartServer();
   auto live = cli::Client::ConnectWithRetry("127.0.0.1", server_->port());
   ASSERT_TRUE(live.ok()) << live.status().ToString();
-  auto r = live->Execute(RequestMode::kPing, "");
+  auto r = live->Execute(common::QueryMode::kPing, "");
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->ok());
 }

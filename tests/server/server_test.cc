@@ -1,14 +1,18 @@
 // End-to-end TCP service tests: concurrent mixed SQL/XQuery clients,
 // STATS over the wire, overload rejection, protocol robustness against a
-// hostile peer, cache invalidation on warehouse sync, graceful shutdown.
+// hostile peer, cache invalidation on warehouse sync, graceful shutdown,
+// and the reaping of short connections' threads.
 
 #include "server/server.h"
 
+#include <pthread.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <fstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -131,7 +135,7 @@ TEST_F(ServerTest, MixedWorkloadEightConcurrentClients) {
             break;
           }
           default: {
-            auto r = client->Execute(RequestMode::kXqXml, kEnzymeIdsXq);
+            auto r = client->Execute(common::QueryMode::kXqXml, kEnzymeIdsXq);
             if (!r.ok() || !r->ok() ||
                 r->text.find("<enzyme_id>") == std::string::npos) {
               failures.fetch_add(1);
@@ -157,7 +161,7 @@ TEST_F(ServerTest, StatsOverWireShowsNonzeroCounters) {
   auto client = Connect();
   ASSERT_TRUE(client.Sql("SELECT COUNT(*) FROM xml_node").ok());
   ASSERT_TRUE(client.Xq(kEnzymeIdsXq).ok());
-  auto stats = client.Execute(RequestMode::kStats, "");
+  auto stats = client.Execute(common::QueryMode::kStats, "");
   ASSERT_TRUE(stats.ok());
   ASSERT_TRUE(stats->ok()) << stats->error;
   const std::string& json = stats->text;
@@ -176,7 +180,7 @@ TEST_F(ServerTest, XqExplainOverWireShowsPhysicalPlans) {
   auto client = Connect();
   // EXPLAIN mode renders, per generated SQL statement, the statement text
   // followed by the physical plan tree the engine will actually run.
-  auto plain = client.Execute(RequestMode::kExplain, kEnzymeIdsXq);
+  auto plain = client.Execute(common::QueryMode::kExplain, kEnzymeIdsXq);
   ASSERT_TRUE(plain.ok());
   ASSERT_TRUE(plain->ok()) << plain->error;
   EXPECT_EQ(plain->kind, PayloadKind::kText);
@@ -191,7 +195,7 @@ TEST_F(ServerTest, XqExplainOverWireShowsPhysicalPlans) {
   auto analyze = client.Sql("ANALYZE");
   ASSERT_TRUE(analyze.ok());
   ASSERT_TRUE(analyze->ok()) << analyze->error;
-  auto costed = client.Execute(RequestMode::kExplain, kEnzymeIdsXq);
+  auto costed = client.Execute(common::QueryMode::kExplain, kEnzymeIdsXq);
   ASSERT_TRUE(costed.ok());
   ASSERT_TRUE(costed->ok()) << costed->error;
   EXPECT_NE(costed->text.find("est rows="), std::string::npos)
@@ -243,20 +247,20 @@ TEST_F(ServerTest, OverloadGetsTypedError) {
   // Pin the single worker, then fill the single queue slot.
   std::thread t1([&] {
     auto client = Connect();
-    auto r = client.Execute(RequestMode::kPing, "#sleep 400");
+    auto r = client.Execute(common::QueryMode::kPing, "#sleep 400");
     EXPECT_TRUE(r.ok() && r->ok());
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   std::thread t2([&] {
     auto client = Connect();
-    auto r = client.Execute(RequestMode::kPing, "#sleep 100");
+    auto r = client.Execute(common::QueryMode::kPing, "#sleep 100");
     EXPECT_TRUE(r.ok() && r->ok());
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
   // Worker busy + queue full: the third request must be refused, typed.
   auto client = Connect();
-  auto r = client.Execute(RequestMode::kPing, "");
+  auto r = client.Execute(common::QueryMode::kPing, "");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->code, StatusCode::kOverloaded) << r->error;
   EXPECT_GT(rejected->Value(), rejected0);
@@ -265,7 +269,7 @@ TEST_F(ServerTest, OverloadGetsTypedError) {
   t2.join();
   // Once drained the same session is served again (backpressure, not a
   // ban).
-  auto again = client.Execute(RequestMode::kPing, "");
+  auto again = client.Execute(common::QueryMode::kPing, "");
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(again->ok());
 }
@@ -295,7 +299,7 @@ TEST_F(ServerTest, FirstFrameMustBeHello) {
   int fd = RawConnect();
   Request ping;
   ping.id = 9;
-  ping.mode = RequestMode::kPing;
+  ping.mode = common::QueryMode::kPing;
   ASSERT_TRUE(net::WriteFrame(fd, EncodeRequest(ping)).ok());
   auto reply = net::ReadFrame(fd, kDefaultMaxFrameBytes);
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
@@ -312,7 +316,6 @@ TEST_F(ServerTest, FirstFrameMustBeHello) {
 
 TEST_F(ServerTest, OversizedFrameRejected) {
   ServerOptions options;
-  options.max_frame_bytes = 1024;
   StartServer(options);
   int fd = RawConnect();
   uint32_t huge = 1u << 28;
@@ -353,7 +356,7 @@ TEST_F(ServerTest, TruncatedFrameThenHangupClosesCleanly) {
   ::close(fd);  // server sees EOF mid-frame; must not crash or hang
   // The server is still healthy for other clients.
   auto client = Connect();
-  auto r = client.Execute(RequestMode::kPing, "");
+  auto r = client.Execute(common::QueryMode::kPing, "");
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->ok());
 }
@@ -365,7 +368,7 @@ TEST_F(ServerTest, GracefulShutdownDrainsInFlightQueries) {
   std::atomic<bool> got_response{false};
   std::thread inflight([&] {
     auto client = Connect();
-    auto r = client.Execute(RequestMode::kPing, "#sleep 300");
+    auto r = client.Execute(common::QueryMode::kPing, "#sleep 300");
     if (r.ok() && r->ok() && r->text == "pong") got_response.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -376,9 +379,50 @@ TEST_F(ServerTest, GracefulShutdownDrainsInFlightQueries) {
   // New connections are refused after shutdown.
   auto late = cli::Client::Connect("127.0.0.1", server_->port());
   if (late.ok()) {
-    auto r = late->Execute(RequestMode::kPing, "");
+    auto r = late->Execute(common::QueryMode::kPing, "");
     EXPECT_FALSE(r.ok());
   }
+}
+
+// This process's virtual size in kB, from /proc/self/status.
+size_t VmSizeKb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoul(line.substr(7));
+  }
+  return 0;
+}
+
+// The stack size, in kB, of a thread started with default attributes.
+size_t DefaultStackKb() {
+  pthread_attr_t attr;
+  pthread_attr_init(&attr);
+  size_t bytes = 0;
+  pthread_attr_getstacksize(&attr, &bytes);
+  pthread_attr_destroy(&attr);
+  return bytes / 1024;
+}
+
+// A closed connection's thread must be joined while the server runs, or
+// each short-lived client leaves a thread stack mapped until Shutdown.
+TEST_F(ServerTest, ShortConnectionsDoNotAccumulateStacks) {
+  StartServer();
+  common::QueryRequest request;
+  request.mode = common::QueryMode::kPing;
+  auto ping = [&] {
+    auto client = Connect();
+    auto r = client.Execute(request);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(r->ok()) << r->error;
+  };
+  // Warm up: the first connections map malloc arenas and cached stacks.
+  for (int i = 0; i < 8; ++i) ping();
+  const size_t before_kb = VmSizeKb();
+  for (int i = 0; i < 200; ++i) ping();
+  const size_t after_kb = VmSizeKb();
+  EXPECT_LT(after_kb, before_kb + 50 * DefaultStackKb())
+      << "VmSize " << before_kb << " -> " << after_kb << " kB";
 }
 
 }  // namespace

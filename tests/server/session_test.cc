@@ -43,7 +43,8 @@ struct Stack {
   }
 };
 
-Response Roundtrip(Session& session, RequestMode mode, const std::string& text,
+Response Roundtrip(Session& session, common::QueryMode mode,
+                   const std::string& text,
                    const common::QueryOptions* opts = nullptr) {
   Request request;
   request.id = 7;
@@ -63,7 +64,7 @@ TEST(SessionTest, SessionsHaveDistinctIdsAndCountRequests) {
   EXPECT_NE(a->id(), b->id());
   EXPECT_NE(a->id(), 0u);  // ids start at 1
   EXPECT_EQ(a->requests_handled(), 0u);
-  Response r = Roundtrip(*a, RequestMode::kPing, "");
+  Response r = Roundtrip(*a, common::QueryMode::kPing, "");
   EXPECT_TRUE(r.ok());
   EXPECT_EQ(a->requests_handled(), 1u);
   EXPECT_EQ(b->requests_handled(), 0u);
@@ -78,12 +79,12 @@ TEST(SessionTest, CacheIsKeyedBySnapshotEpoch) {
   auto session = service.StartSession();
   const std::string select = "SELECT doc_id FROM xml_document";
 
-  Response first = Roundtrip(*session, RequestMode::kSql, select);
+  Response first = Roundtrip(*session, common::QueryMode::kSql, select);
   ASSERT_TRUE(first.ok());
   EXPECT_FALSE(first.cached());
   const size_t docs = first.rows.size();
   ASSERT_EQ(docs, 8u);
-  Response second = Roundtrip(*session, RequestMode::kSql, select);
+  Response second = Roundtrip(*session, common::QueryMode::kSql, select);
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(second.cached());
 
@@ -91,11 +92,11 @@ TEST(SessionTest, CacheIsKeyedBySnapshotEpoch) {
   // cache (new key) and the re-executed answer includes the new row —
   // stale bytes are structurally unreachable, no invalidation needed.
   Response insert = Roundtrip(
-      *session, RequestMode::kSql,
+      *session, common::QueryMode::kSql,
       "INSERT INTO xml_document (doc_id, collection, uri) "
       "VALUES (999, 'c', 'u')");
   ASSERT_TRUE(insert.ok()) << insert.error;
-  Response third = Roundtrip(*session, RequestMode::kSql, select);
+  Response third = Roundtrip(*session, common::QueryMode::kSql, select);
   ASSERT_TRUE(third.ok());
   EXPECT_FALSE(third.cached());
   EXPECT_EQ(third.rows.size(), docs + 1);
@@ -107,18 +108,18 @@ TEST(SessionTest, CacheIsKeyedBySnapshotEpoch) {
   // not replay the cached rows.
   auto cache_then_drop = [&](const std::string& table, auto drop) {
     const std::string read = "SELECT x FROM " + table;
-    ASSERT_TRUE(Roundtrip(*session, RequestMode::kSql,
+    ASSERT_TRUE(Roundtrip(*session, common::QueryMode::kSql,
                           "CREATE TABLE " + table + " (x INT)")
                     .ok());
-    ASSERT_TRUE(Roundtrip(*session, RequestMode::kSql,
+    ASSERT_TRUE(Roundtrip(*session, common::QueryMode::kSql,
                           "INSERT INTO " + table + " (x) VALUES (1)")
                     .ok());
-    ASSERT_EQ(Roundtrip(*session, RequestMode::kSql, read).rows.size(), 1u);
-    Response hit = Roundtrip(*session, RequestMode::kSql, read);
+    ASSERT_EQ(Roundtrip(*session, common::QueryMode::kSql, read).rows.size(), 1u);
+    Response hit = Roundtrip(*session, common::QueryMode::kSql, read);
     ASSERT_TRUE(hit.ok());
     ASSERT_TRUE(hit.cached());
     drop();
-    Response gone = Roundtrip(*session, RequestMode::kSql, read);
+    Response gone = Roundtrip(*session, common::QueryMode::kSql, read);
     EXPECT_FALSE(gone.ok()) << table << " was dropped";
     EXPECT_FALSE(gone.cached()) << "served a dropped table from cache";
   };
@@ -128,7 +129,7 @@ TEST(SessionTest, CacheIsKeyedBySnapshotEpoch) {
   });
   cache_then_drop("sql_t", [&] {
     ASSERT_TRUE(
-        Roundtrip(*session, RequestMode::kSql, "DROP TABLE sql_t").ok());
+        Roundtrip(*session, common::QueryMode::kSql, "DROP TABLE sql_t").ok());
   });
 }
 
@@ -138,15 +139,15 @@ TEST(SessionTest, MutationsRunUnpinnedAndReadYourWrites) {
   auto session = service.StartSession();
   // DML and DDL must not pin a snapshot (a pinned DDL would self-deadlock
   // on the DDL latch); both run to completion through the session.
-  Response ddl = Roundtrip(*session, RequestMode::kSql,
+  Response ddl = Roundtrip(*session, common::QueryMode::kSql,
                            "CREATE TABLE session_t (x INT)");
   ASSERT_TRUE(ddl.ok()) << ddl.error;
-  Response dml = Roundtrip(*session, RequestMode::kSql,
+  Response dml = Roundtrip(*session, common::QueryMode::kSql,
                            "INSERT INTO session_t (x) VALUES (1)");
   ASSERT_TRUE(dml.ok()) << dml.error;
   EXPECT_GT(dml.lsn, 0u);  // commit LSN attached for read-your-writes
   // The next read's snapshot is taken after the gate: it sees the write.
-  Response read = Roundtrip(*session, RequestMode::kSql,
+  Response read = Roundtrip(*session, common::QueryMode::kSql,
                             "SELECT x FROM session_t");
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(read.rows.size(), 1u);
@@ -161,13 +162,13 @@ TEST(SessionTest, MinLsnGateRefusesUnreachablePosition) {
   auto session = service.StartSession();
   common::QueryOptions opts;
   opts.min_lsn = stack.db->committed_lsn() + 1000;
-  Response r = Roundtrip(*session, RequestMode::kSql,
+  Response r = Roundtrip(*session, common::QueryMode::kSql,
                          "SELECT doc_id FROM xml_document", &opts);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.code, common::StatusCode::kLagging);
   // At or below the committed position the gate opens without waiting.
   opts.min_lsn = stack.db->committed_lsn();
-  Response ok = Roundtrip(*session, RequestMode::kSql,
+  Response ok = Roundtrip(*session, common::QueryMode::kSql,
                           "SELECT doc_id FROM xml_document", &opts);
   EXPECT_TRUE(ok.ok());
 }

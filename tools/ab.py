@@ -18,7 +18,9 @@ The report gives, for each workload and each end-to-end metric of
 BENCHMARK.json, the median B/A ratio over the pairs, the range of the pair
 ratios, the median of each side, and the failed ops of each side. From the
 traced runs it gives every per-layer metric of BENCHMARK.json with both
-values and their B/A ratio. Nothing is written under paperbench/.
+values. It gives a B/A ratio only for counters and ratios: a timing (unit
+ms or %) from one traced run per side is marked "1 pair", since a single
+sample's spread can read as a change. Nothing is written under paperbench/.
 """
 
 import argparse
@@ -116,7 +118,7 @@ def report(workload, seeds, seconds, pairs, metrics):
 
 
 def report_layers(seed, a, b, metrics):
-    """Per-layer metrics of one traced run per side."""
+    """Per-layer metrics of one traced run per side; no ratio for timings."""
     print("  per layer, traced seed %d; failed ops A=%d B=%d" %
           (seed, failed_ops([a]), failed_ops([b])))
     print("  %-42s %-7s %11s %11s %9s" %
@@ -127,7 +129,12 @@ def report_layers(seed, a, b, metrics):
                   if r is not None else None for r in (a, b))
         if av is None and bv is None:
             continue
-        ratio = "%9.3f" % (bv / av) if av and bv is not None else "%9s" % "-"
+        if m["unit"] in ("ms", "%"):
+            ratio = "%9s" % "1 pair"
+        elif av and bv is not None:
+            ratio = "%9.3f" % (bv / av)
+        else:
+            ratio = "%9s" % "-"
         print("  %-42s %-7s %11s %11s %s" %
               (name, m["better"], "-" if av is None else "%.4g" % av,
                "-" if bv is None else "%.4g" % bv, ratio))
