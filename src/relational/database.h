@@ -338,10 +338,14 @@ class Database {
 
   mutable std::shared_mutex latch_;
   // Snapshot barrier: snapshots hold it shared for their lifetime,
-  // catalog-shape DDL takes it exclusive (while already holding latch_ —
-  // readers never take latch_, so the order latch_ -> ddl_latch_ cannot
-  // cycle). std::shared_mutex may hold new readers back while a writer
-  // waits, so long snapshots delay DDL but not each other.
+  // catalog-shape DDL takes it exclusive while already holding latch_.
+  // The order latch_ -> ddl_latch_ cannot cycle as long as no thread
+  // holding a snapshot then takes latch_: a thread that opens a
+  // rel::WriteGuard under its own live Snapshot would deadlock DDL on
+  // itself, so SqlEngine refuses every write statement whose request
+  // carries a read_epoch (the token of a held snapshot). std::shared_mutex
+  // may hold new readers back while a writer waits, so long snapshots
+  // delay DDL but not each other.
   mutable std::shared_mutex ddl_latch_;
   // Registry of live snapshot epochs; min() is reclamation's low-water
   // mark. Guarded by snap_mu_, which doubles as the happens-before edge

@@ -193,6 +193,26 @@ Result<QueryResult> SqlEngine::ExecuteImpl(
     *snap = db_->BeginSnapshot();
     return snap->epoch();
   };
+  // A read token means the caller holds a snapshot, so ddl_latch_ shared.
+  // A statement that takes the write latch would then order the two
+  // latches against DDL's latch_ -> ddl_latch_, and DDL on this thread
+  // would wait on its own snapshot: refuse it.
+  switch (stmt.kind) {
+    case StatementKind::kCreateTable:
+    case StatementKind::kCreateIndex:
+    case StatementKind::kDrop:
+    case StatementKind::kInsert:
+    case StatementKind::kDelete:
+    case StatementKind::kUpdate:
+    case StatementKind::kAnalyze:
+      if (read_epoch.has_value()) {
+        return Status::InvalidArgument(
+            "a statement that writes cannot run at a pinned read epoch");
+      }
+      break;
+    default:
+      break;
+  }
   switch (stmt.kind) {
     case StatementKind::kCreateTable: {
       std::vector<rel::Column> cols;

@@ -7,6 +7,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "common/metrics.h"
 #include "common/string_util.h"
 #include "exec/worker_pool.h"
 
@@ -329,6 +330,15 @@ Result<bool> FetchVisible(const rel::Table& table,
   return true;
 }
 
+// Adds one materializing operator's holding, rows x width, to the
+// sql.exec.values_materialized counter: once per operator execution.
+void CountMaterialized(size_t rows, const rel::Schema& schema) {
+  static common::Counter* values =
+      common::MetricsRegistry::Global().GetCounter(
+          "sql.exec.values_materialized");
+  values->Inc(rows * schema.size());
+}
+
 // Morsel geometry: enough morsels that work stealing can balance skew
 // (several per worker slot), each at least `min_rows` so the per-morsel
 // bookkeeping stays amortized over real work.
@@ -357,6 +367,7 @@ Result<std::vector<Tuple>> Executor::ExecuteToVector(const PlanNode& plan) {
     }
     return true;
   }));
+  CountMaterialized(rows.size(), plan.schema);
   return rows;
 }
 
@@ -1155,6 +1166,7 @@ Status Executor::ExecAggregateB(const PlanNode& plan, const BatchSink& sink) {
     keys.emplace_back();
     states.emplace_back(plan.aggs.size());
   }
+  CountMaterialized(keys.size(), plan.schema);
   BatchEmitter em(options_.batch_capacity, sink, /*budget=*/-1);
   for (size_t g = 0; g < keys.size(); ++g) {
     Tuple out = keys[g];
@@ -1173,7 +1185,7 @@ Status Executor::ExecDistinctB(const PlanNode& plan, const BatchSink& sink) {
   std::unordered_set<CompositeKey, rel::CompositeKeyHasher,
                      rel::CompositeKeyEq>
       seen;
-  return ExecB(
+  Status status = ExecB(
       *plan.children[0],
       [&](RowBatch& batch) {
         std::vector<uint32_t> next;
@@ -1187,6 +1199,8 @@ Status Executor::ExecDistinctB(const PlanNode& plan, const BatchSink& sink) {
         return sink(batch);
       },
       /*budget=*/-1);
+  CountMaterialized(seen.size(), plan.schema);
+  return status;
 }
 
 }  // namespace xomatiq::sql

@@ -62,6 +62,11 @@ struct ExecutorOptions {
 // Sort, the hash-join build and Aggregate materialize internally; Distinct
 // streams. Parallel scans, hash joins and sorts fan out through one morsel
 // driver.
+//
+// What the materializing operators hold (ExecuteToVector, which Sort, the
+// hash build and the nested-loop inner side use, plus Distinct's seen set
+// and Aggregate's groups) is counted as rows x width in the
+// sql.exec.values_materialized counter, once per operator execution.
 class Executor {
  public:
   explicit Executor(rel::Database* db, ExecutorOptions options = {})

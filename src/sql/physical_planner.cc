@@ -6,6 +6,7 @@
 #include <iterator>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <thread>
 
 #include "sql/expr_eval.h"
@@ -137,11 +138,10 @@ struct PhysicalPlanner::RelInfo {
 };
 
 // One cross-relation conjunct with the relations it references and, when
-// costed, its relation mask and selectivity.
+// costed, its selectivity.
 struct PhysicalPlanner::JoinConjunct {
   const Expr* expr = nullptr;
   std::vector<size_t> rels;  // ascending
-  uint64_t mask = 0;         // `rels` as bits (costed joins only)
   double selectivity = CardinalityEstimator::kDefaultSel;
   // `lhs = rhs`: the relations each side references (empty otherwise).
   std::vector<size_t> lhs_rels, rhs_rels;
@@ -159,9 +159,8 @@ struct PhysicalPlanner::JoinStep {
   double after_rows = 0; // estimate after residual conjuncts apply
 };
 
-// Relations joined left-deep from `first` through `steps`. A join order
-// is a list of components crossed left to right by nested loops; a costed
-// order is one component.
+// Relations joined left-deep from `first` through `steps`: one connected
+// component of the join graph (under kFromOrder, every relation).
 struct PhysicalPlanner::JoinComponent {
   size_t first = 0;
   std::vector<JoinStep> steps;
@@ -353,23 +352,38 @@ Result<PlanPtr> PhysicalPlanner::BuildAccessPlan(const LogicalOp& get,
   return plan;
 }
 
-// Costed join order: exact DP over left-deep orders up to dp_join_limit
-// relations, greedy cheapest-extension beyond, each step priced over the
-// three join methods.
-std::vector<PhysicalPlanner::JoinComponent> PhysicalPlanner::OrderByCost(
+// Costed join order of one component: exact DP over left-deep orders up
+// to dp_join_limit relations, greedy cheapest-extension beyond, each step
+// priced over the three join methods. Relation sets are bit masks over
+// `members`.
+PhysicalPlanner::JoinComponent PhysicalPlanner::OrderByCost(
     const CostModel& cm, const std::vector<RelInfo>& rels,
-    const std::vector<JoinConjunct>& jconjs) {
-  const size_t n = rels.size();
+    const std::vector<JoinConjunct>& jconjs,
+    const std::vector<size_t>& members) const {
+  const size_t n = members.size();
+  auto rel = [&](size_t i) -> const RelInfo& { return rels[members[i]]; };
+  // Each conjunct's relations as member bits: components are closed under
+  // conjuncts, so a conjunct of another component stays 0.
+  std::vector<int> bit(rels.size(), -1);
+  for (size_t i = 0; i < n; ++i) bit[members[i]] = static_cast<int>(i);
+  std::vector<uint64_t> masks(jconjs.size(), 0);
+  for (size_t c = 0; c < jconjs.size(); ++c) {
+    for (size_t r : jconjs[c].rels) {
+      if (bit[r] >= 0) masks[c] |= uint64_t{1} << bit[r];
+    }
+  }
 
   // Estimated output rows for a relation subset: independent predicates,
   // every conjunct contained in the subset applied once.
   auto rows_of = [&](uint64_t mask) {
     double rows = 1.0;
     for (size_t i = 0; i < n; ++i) {
-      if (mask & (uint64_t{1} << i)) rows *= rels[i].filtered_rows;
+      if (mask & (uint64_t{1} << i)) rows *= rel(i).filtered_rows;
     }
-    for (const JoinConjunct& jc : jconjs) {
-      if (jc.mask != 0 && (jc.mask & ~mask) == 0) rows *= jc.selectivity;
+    for (size_t c = 0; c < jconjs.size(); ++c) {
+      if (masks[c] != 0 && (masks[c] & ~mask) == 0) {
+        rows *= jconjs[c].selectivity;
+      }
     }
     return std::max(rows, 1e-3);
   };
@@ -389,6 +403,7 @@ std::vector<PhysicalPlanner::JoinComponent> PhysicalPlanner::OrderByCost(
   // three join methods. A conjunct "connects" when it needs both sides.
   auto extend = [&](const Entry& cur, uint64_t mask, size_t j) {
     const uint64_t bj = uint64_t{1} << j;
+    const RelInfo& rj = rel(j);
     Entry out;
     out.last = j;
     out.prev = mask;
@@ -397,26 +412,25 @@ std::vector<PhysicalPlanner::JoinComponent> PhysicalPlanner::OrderByCost(
 
     std::vector<size_t> connecting_equis;
     for (size_t c = 0; c < jconjs.size(); ++c) {
-      const JoinConjunct& jc = jconjs[c];
-      if (jc.mask == 0 || (jc.mask & ~(mask | bj)) != 0) continue;
-      if (!(jc.mask & bj) || !(jc.mask & mask)) continue;
-      if (jc.equi) connecting_equis.push_back(c);
+      if (masks[c] == 0 || (masks[c] & ~(mask | bj)) != 0) continue;
+      if (!(masks[c] & bj) || !(masks[c] & mask)) continue;
+      if (jconjs[c].equi) connecting_equis.push_back(c);
     }
 
     // Nested loop (always possible; the only option for cross products).
     out.method = PlanKind::kNestedLoopJoin;
-    out.join_rows = cur.rows * rels[j].filtered_rows;
-    out.cost = cur.cost + rels[j].access_cost +
-               cur.rows * rels[j].filtered_rows * cm.nl_pair +
+    out.join_rows = cur.rows * rj.filtered_rows;
+    out.cost = cur.cost + rj.access_cost +
+               cur.rows * rj.filtered_rows * cm.nl_pair +
                after * cm.out_row;
 
     if (!connecting_equis.empty()) {
       // Hash join: build the new relation, probe with the accumulated side.
       double sel = 1.0;
       for (size_t c : connecting_equis) sel *= jconjs[c].selectivity;
-      double join_rows = cur.rows * rels[j].filtered_rows * sel;
-      double cost = cur.cost + rels[j].access_cost +
-                    rels[j].filtered_rows * cm.hash_build +
+      double join_rows = cur.rows * rj.filtered_rows * sel;
+      double cost = cur.cost + rj.access_cost +
+                    rj.filtered_rows * cm.hash_build +
                     cur.rows * cm.hash_probe + after * cm.out_row;
       if (cost < out.cost) {
         out.cost = cost;
@@ -429,21 +443,19 @@ std::vector<PhysicalPlanner::JoinComponent> PhysicalPlanner::OrderByCost(
       // column per outer row; its pushed predicates filter post-join.
       for (size_t c : connecting_equis) {
         const JoinConjunct& jc = jconjs[c];
-        const Expr& j_col =
-            jc.rhs_rels[0] == j ? *jc.expr->right : *jc.expr->left;
+        const Expr& j_col = jc.rhs_rels[0] == members[j] ? *jc.expr->right
+                                                         : *jc.expr->left;
         const IndexEntry* idx = db_->FindIndex(
-            rels[j].get->table, {BareName(j_col.column_name)},
-            IndexKind::kHash);
+            rj.get->table, {BareName(j_col.column_name)}, IndexKind::kHash);
         double probe = cm.index_probe;
         if (idx == nullptr) {
-          idx = db_->FindIndex(rels[j].get->table,
-                               {BareName(j_col.column_name)},
+          idx = db_->FindIndex(rj.get->table, {BareName(j_col.column_name)},
                                IndexKind::kBTree);
           probe = cm.btree_descend;
         }
         if (idx == nullptr) continue;
-        double matches = cur.rows * rels[j].base_rows * jc.selectivity;
-        double num_pushed = static_cast<double>(rels[j].get->pushed.size());
+        double matches = cur.rows * rj.base_rows * jc.selectivity;
+        double num_pushed = static_cast<double>(rj.get->pushed.size());
         double inl_cost = cur.cost + cur.rows * probe +
                           matches * cm.index_row +
                           matches * cm.pred_eval * num_pushed +
@@ -461,15 +473,14 @@ std::vector<PhysicalPlanner::JoinComponent> PhysicalPlanner::OrderByCost(
   };
 
   // Relations j that some conjunct links to the subset `mask`; when none
-  // does, every remaining relation (a cross product).
+  // does (a conjunct over three or more relations), every remaining one.
   auto candidates_for = [&](uint64_t mask) {
     std::vector<size_t> out;
     for (size_t j = 0; j < n; ++j) {
       const uint64_t bj = uint64_t{1} << j;
       if (mask & bj) continue;
-      for (const JoinConjunct& jc : jconjs) {
-        if (jc.mask != 0 && (jc.mask & ~(mask | bj)) == 0 &&
-            (jc.mask & bj) && (jc.mask & mask)) {
+      for (uint64_t m : masks) {
+        if (m != 0 && (m & ~(mask | bj)) == 0 && (m & bj) && (m & mask)) {
           out.push_back(j);
           break;
         }
@@ -483,9 +494,9 @@ std::vector<PhysicalPlanner::JoinComponent> PhysicalPlanner::OrderByCost(
     return out;
   };
 
-  auto step_of = [](const Entry& e) {
+  auto step_of = [&](const Entry& e) {
     JoinStep s;
-    s.rel = e.last;
+    s.rel = members[e.last];
     s.method = e.method;
     s.inl_index = e.inl_index;
     s.inl_conjunct = e.inl_conjunct;
@@ -496,6 +507,7 @@ std::vector<PhysicalPlanner::JoinComponent> PhysicalPlanner::OrderByCost(
   };
 
   JoinComponent order;
+  order.first = members[0];
   if (n == 1) {
     // Single relation: nothing to order.
   } else if (n <= options_.dp_join_limit) {
@@ -505,8 +517,8 @@ std::vector<PhysicalPlanner::JoinComponent> PhysicalPlanner::OrderByCost(
     std::vector<Entry> dp(uint64_t{1} << n);
     for (size_t i = 0; i < n; ++i) {
       Entry& e = dp[uint64_t{1} << i];
-      e.cost = rels[i].access_cost;
-      e.rows = rels[i].filtered_rows;
+      e.cost = rel(i).access_cost;
+      e.rows = rel(i).filtered_rows;
       e.last = i;
       e.prev = 0;
     }
@@ -526,25 +538,27 @@ std::vector<PhysicalPlanner::JoinComponent> PhysicalPlanner::OrderByCost(
       chain.push_back(dp[mask]);
       mask = dp[mask].prev;
     }
-    order.first = dp[mask].last;
+    order.first = members[dp[mask].last];
     for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
       order.steps.push_back(step_of(*it));
     }
   } else {
     // Greedy cheapest-extension beyond the DP limit.
     double best_seed = kInf;
+    size_t first = 0;
     for (size_t i = 0; i < n; ++i) {
-      double score = rels[i].access_cost + rels[i].filtered_rows;
+      double score = rel(i).access_cost + rel(i).filtered_rows;
       if (score < best_seed) {
         best_seed = score;
-        order.first = i;
+        first = i;
       }
     }
+    order.first = members[first];
     Entry cur;
-    cur.cost = rels[order.first].access_cost;
-    cur.rows = rels[order.first].filtered_rows;
-    cur.last = order.first;
-    uint64_t mask = uint64_t{1} << order.first;
+    cur.cost = rel(first).access_cost;
+    cur.rows = rel(first).filtered_rows;
+    cur.last = first;
+    uint64_t mask = uint64_t{1} << first;
     while (Popcount(mask) < static_cast<int>(n)) {
       Entry best;
       for (size_t j : candidates_for(mask)) {
@@ -556,28 +570,22 @@ std::vector<PhysicalPlanner::JoinComponent> PhysicalPlanner::OrderByCost(
       cur = best;
     }
   }
-
-  reordered_ = order.first != 0;
-  for (size_t k = 0; k < order.steps.size(); ++k) {
-    if (order.steps[k].rel != k + 1) reordered_ = true;
-  }
-  return {std::move(order)};
+  return order;
 }
 
-// Rule join order. kFromOrder joins the relations in literal FROM order.
-// Otherwise each component starts from the relation with the best
-// seed_score (the first of equals) and then takes, one at a time, the
-// first relation in FROM order that a conjunct links to the component;
-// when none links, the next component starts. The join method is an index
-// nested loop when the new relation keeps a scan access and an equality
-// links the plan to an indexed column of it (a hash index first, then a
-// B+tree); else a hash join on the linking equalities; else a nested loop.
-std::vector<PhysicalPlanner::JoinComponent> PhysicalPlanner::OrderByRule(
-    const std::vector<RelInfo>& rels,
-    const std::vector<JoinConjunct>& jconjs) const {
-  const size_t n = rels.size();
-  std::vector<bool> placed(n, false);
-  std::vector<bool> in_plan(n, false);  // the current component
+// Rule join order of one component. kFromOrder joins the relations in
+// literal FROM order. Otherwise the component starts from the relation
+// with the best seed_score (the first of equals) and then takes, one at a
+// time, the first relation in FROM order that a conjunct links to the
+// plan; when none does (a conjunct over three or more relations), the best
+// remaining seed. The join method is an index nested loop when the new
+// relation keeps a scan access and an equality links the plan to an
+// indexed column of it (a hash index first, then a B+tree); else a hash
+// join on the linking equalities; else a nested loop.
+PhysicalPlanner::JoinComponent PhysicalPlanner::OrderByRule(
+    const std::vector<RelInfo>& rels, const std::vector<JoinConjunct>& jconjs,
+    const std::vector<size_t>& members) const {
+  std::vector<bool> in_plan(rels.size(), false);
 
   auto on_plan = [&](const std::vector<size_t>& rs) {
     return !rs.empty() && std::all_of(rs.begin(), rs.end(),
@@ -629,40 +637,35 @@ std::vector<PhysicalPlanner::JoinComponent> PhysicalPlanner::OrderByRule(
     }
     return s;
   };
+  auto best_seed = [&] {
+    size_t pick = SIZE_MAX;
+    for (size_t j : members) {
+      if (!in_plan[j] &&
+          (pick == SIZE_MAX || rels[j].seed_score > rels[pick].seed_score)) {
+        pick = j;
+      }
+    }
+    return pick;
+  };
 
   const bool from_order = options_.mode == PlannerMode::kFromOrder;
-  std::vector<JoinComponent> order;
-  for (size_t added = 0; added < n; ++added) {
-    size_t next = n;
-    if (from_order) {
-      next = added;
-    } else if (added > 0) {
-      for (size_t j = 0; j < n && next == n; ++j) {
-        if (placed[j]) continue;
-        for (const JoinConjunct& jc : jconjs) {
-          if (links(jc, j)) {
-            next = j;
-            break;
-          }
+  JoinComponent order;
+  order.first = from_order ? members[0] : best_seed();
+  in_plan[order.first] = true;
+  for (size_t added = 1; added < members.size(); ++added) {
+    size_t next = from_order ? members[added] : SIZE_MAX;
+    for (size_t j : members) {
+      if (next != SIZE_MAX) break;
+      if (in_plan[j]) continue;
+      for (const JoinConjunct& jc : jconjs) {
+        if (links(jc, j)) {
+          next = j;
+          break;
         }
       }
     }
-    if (added == 0 || next == n) {
-      if (next == n) {
-        int best = -1;
-        for (size_t j = 0; j < n; ++j) {
-          if (!placed[j] && rels[j].seed_score > best) {
-            best = rels[j].seed_score;
-            next = j;
-          }
-        }
-      }
-      std::fill(in_plan.begin(), in_plan.end(), false);
-      order.push_back({next, {}});
-    } else {
-      order.back().steps.push_back(step_for(next));
-    }
-    placed[next] = true;
+    if (next == SIZE_MAX) next = best_seed();
+    order.steps.push_back(step_for(next));
     in_plan[next] = true;
   }
   return order;
@@ -744,21 +747,66 @@ Result<PlanPtr> PhysicalPlanner::LowerJoin(const LogicalOp& join) {
     } else {
       jc.rels = relations_of(*c);
     }
-    if (costed_) {
-      for (size_t r : jc.rels) jc.mask |= uint64_t{1} << r;
-      if (jc.equi) {
-        const RelInfo& l = rels[jc.lhs_rels[0]];
-        const RelInfo& r = rels[jc.rhs_rels[0]];
-        jc.selectivity = CardinalityEstimator::EquiJoinSelectivity(
-            *l.stats, l.get->schema.FindColumn(c->left->column_name).value(),
-            *r.stats, r.get->schema.FindColumn(c->right->column_name).value());
-      }
+    if (costed_ && jc.equi) {
+      const RelInfo& l = rels[jc.lhs_rels[0]];
+      const RelInfo& r = rels[jc.rhs_rels[0]];
+      jc.selectivity = CardinalityEstimator::EquiJoinSelectivity(
+          *l.stats, l.get->schema.FindColumn(c->left->column_name).value(),
+          *r.stats, r.get->schema.FindColumn(c->right->column_name).value());
     }
     jconjs.push_back(std::move(jc));
   }
 
-  std::vector<JoinComponent> order =
-      costed_ ? OrderByCost(cm, rels, jconjs) : OrderByRule(rels, jconjs);
+  // --- connected components, each ordered on its own ---------------------
+  // Union-find over each conjunct's relations; a component lists its
+  // relations ascending, and components come in order of their first
+  // relation. kFromOrder keeps one literal FROM-order chain.
+  std::vector<std::vector<size_t>> members;
+  if (options_.mode == PlannerMode::kFromOrder) {
+    members.emplace_back(n);
+    std::iota(members[0].begin(), members[0].end(), size_t{0});
+  } else {
+    std::vector<size_t> root(n);
+    std::iota(root.begin(), root.end(), size_t{0});
+    auto find = [&](size_t r) {
+      while (root[r] != r) r = root[r] = root[root[r]];
+      return r;
+    };
+    for (const JoinConjunct& jc : jconjs) {
+      for (size_t r : jc.rels) root[find(r)] = find(jc.rels[0]);
+    }
+    std::vector<size_t> slot(n, SIZE_MAX);
+    for (size_t r = 0; r < n; ++r) {
+      size_t& s = slot[find(r)];
+      if (s == SIZE_MAX) {
+        s = members.size();
+        members.emplace_back();
+      }
+      members[s].push_back(r);
+    }
+  }
+  std::vector<JoinComponent> order;
+  for (const std::vector<size_t>& m : members) {
+    order.push_back(costed_ ? OrderByCost(cm, rels, jconjs, m)
+                            : OrderByRule(rels, jconjs, m));
+  }
+  if (!costed_) {
+    // The rules cross the component holding the best seed first (the
+    // first of equals), then the best of the rest.
+    std::stable_sort(order.begin(), order.end(),
+                     [&](const JoinComponent& a, const JoinComponent& b) {
+                       int sa = rels[a.first].seed_score;
+                       int sb = rels[b.first].seed_score;
+                       return sa != sb ? sa > sb : a.first < b.first;
+                     });
+  }
+  size_t position = 0;
+  for (const JoinComponent& component : order) {
+    if (component.first != position++) reordered_ = true;
+    for (const JoinStep& step : component.steps) {
+      if (step.rel != position++) reordered_ = true;
+    }
+  }
 
   // --- physical construction -------------------------------------------
   // The conjunct pool: clones consumed as joins bind them, leftovers
@@ -791,7 +839,7 @@ Result<PlanPtr> PhysicalPlanner::LowerJoin(const LogicalOp& join) {
     return PlanPtr(std::move(filter));
   };
 
-  PlanPtr plan;
+  std::vector<PlanPtr> parts;
   for (const JoinComponent& component : order) {
     RelInfo& first = rels[component.first];
     XQ_ASSIGN_OR_RETURN(PlanPtr part, BuildAccessPlan(*first.get, &first));
@@ -873,18 +921,35 @@ Result<PlanPtr> PhysicalPlanner::LowerJoin(const LogicalOp& join) {
       XQ_ASSIGN_OR_RETURN(part, apply_bindable(PlanPtr(std::move(jnode)),
                                                step.after_rows, step.cost));
     }
+    parts.push_back(std::move(part));
+  }
+
+  // Components cross last, each side already filtered, so they never
+  // multiply unfiltered cardinalities. Under a DISTINCT root each side is
+  // first narrowed to the columns read above and deduplicated: DISTINCT
+  // over A x B equals DISTINCT over DISTINCT(A) x DISTINCT(B) on those
+  // columns.
+  const bool dedupe = parts.size() >= 2 && distinct_reads_.has_value();
+  PlanPtr plan;
+  for (PlanPtr& part : parts) {
+    if (dedupe) {
+      XQ_ASSIGN_OR_RETURN(part, DedupeComponent(std::move(part)));
+    }
     if (plan == nullptr) {
       plan = std::move(part);
       continue;
     }
-    // Disconnected components cross last, each side already filtered, so
-    // they never multiply unfiltered cardinalities.
     auto cross = std::make_unique<PlanNode>();
     cross->kind = PlanKind::kNestedLoopJoin;
     cross->schema = Schema::Concat(plan->schema, part->schema);
+    if (costed_) {
+      cross->est_rows = plan->est_rows * part->est_rows;
+      cross->est_cost = plan->est_cost + part->est_cost +
+                        cross->est_rows * (cm.nl_pair + cm.out_row);
+    }
     cross->children.push_back(std::move(plan));
     cross->children.push_back(std::move(part));
-    XQ_ASSIGN_OR_RETURN(plan, apply_bindable(std::move(cross), -1, -1));
+    plan = std::move(cross);
   }
 
   // Anything left in the pool failed to bind anywhere — the binder
@@ -898,7 +963,73 @@ Result<PlanPtr> PhysicalPlanner::LowerJoin(const LogicalOp& join) {
   return plan;
 }
 
+Result<PlanPtr> PhysicalPlanner::DedupeComponent(PlanPtr part) const {
+  const CostModel cm;
+  const double in_rows = part->est_rows;
+  const double in_cost = part->est_cost;
+  auto node = std::make_unique<PlanNode>();
+  for (size_t i = 0; i < part->schema.size(); ++i) {
+    bool read = std::any_of(
+        distinct_reads_->begin(), distinct_reads_->end(), [&](const Expr* e) {
+          return part->schema.FindColumn(e->column_name) == i;
+        });
+    if (!read) continue;
+    ExprPtr ref = MakeColumnRef(part->schema.column(i).name);
+    XQ_RETURN_IF_ERROR(Bind(ref.get(), part->schema));
+    node->project_exprs.push_back(std::move(ref));
+    node->schema.AddColumn(part->schema.column(i));
+  }
+  if (node->project_exprs.empty()) {
+    // Nothing above reads this component: it only has to be non-empty.
+    node->kind = PlanKind::kLimit;
+    node->limit = 1;
+    node->schema = part->schema;
+    if (costed_) {
+      node->est_rows = std::min(in_rows, 1.0);
+      node->est_cost = in_cost;
+    }
+    node->children.push_back(std::move(part));
+    return PlanPtr(std::move(node));
+  }
+  node->kind = PlanKind::kProject;
+  if (costed_) {
+    node->est_rows = in_rows;
+    node->est_cost = in_cost + in_rows * cm.out_row;
+  }
+  node->children.push_back(std::move(part));
+  auto distinct = std::make_unique<PlanNode>();
+  distinct->kind = PlanKind::kDistinct;
+  distinct->schema = node->schema;
+  if (costed_) {
+    distinct->est_rows = std::max(1.0, in_rows * 0.5);
+    distinct->est_cost = node->est_cost + in_rows;
+  }
+  distinct->children.push_back(std::move(node));
+  return PlanPtr(std::move(distinct));
+}
+
 Result<PlanPtr> PhysicalPlanner::Lower(const LogicalOp& root) {
+  // The join-component dedupe applies under a DISTINCT root (a LIMIT
+  // above it only truncates its output) with nothing but Project, Sort and
+  // Filter between it and the join: an Aggregate's groups count rows.
+  const LogicalOp* op = &root;
+  while (op->kind == LogicalKind::kLimit) op = op->children[0].get();
+  if (op->kind == LogicalKind::kDistinct) {
+    std::vector<const Expr*> reads;
+    for (op = op->children[0].get(); op->kind != LogicalKind::kJoin;
+         op = op->children[0].get()) {
+      if (op->kind == LogicalKind::kProject) {
+        for (const ExprPtr& e : op->exprs) CollectRefs(*e, &reads);
+      } else if (op->kind == LogicalKind::kSort) {
+        for (const SortKey& k : op->keys) CollectRefs(*k.expr, &reads);
+      } else if (op->kind == LogicalKind::kFilter) {
+        CollectRefs(*op->predicate, &reads);
+      } else {
+        break;
+      }
+    }
+    if (op->kind == LogicalKind::kJoin) distinct_reads_ = std::move(reads);
+  }
   XQ_ASSIGN_OR_RETURN(PlanPtr plan, LowerOp(root));
   if (!costed_) AnnotateParallelOps(plan.get(), db_, options_);
   return plan;

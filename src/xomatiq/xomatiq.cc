@@ -93,14 +93,19 @@ Result<XqResult> XomatiQ::Execute(const common::QueryRequest& req) {
   result.executed_sql = translation.sql;
   result.constructor_name = translation.constructor_name;
   // Union the disjunct statements with set semantics, preserving the
-  // first-seen order. Each statement streams its batches straight into
-  // the result; no per-statement materialization. Statements run from
-  // their structured ASTs — the rendered SQL text is never parsed here.
+  // first-seen order. Each statement is SELECT DISTINCT over exactly the
+  // returned columns, so one statement needs no second dedupe; only a
+  // union of DNF disjuncts keeps a seen set. Each statement streams its
+  // batches straight into the result; no per-statement materialization.
+  // Statements run from their structured ASTs — the rendered SQL text is
+  // never parsed here.
+  const bool union_of_disjuncts = translation.stmts.size() > 1;
   std::set<rel::CompositeKey, rel::CompositeKeyLess> seen;
   const sql::Executor::BatchSink sink = [&](rel::RowBatch& batch) {
     for (size_t i = 0; i < batch.size(); ++i) {
-      if (seen.insert(batch.row(i)).second) {
-        result.rows.push_back(batch.row(i));
+      if (!union_of_disjuncts || seen.insert(batch.row(i)).second) {
+        // The batch is dead after this call, so owned rows move out free.
+        result.rows.push_back(batch.StealRow(i));
       }
     }
     return true;

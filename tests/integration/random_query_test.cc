@@ -1,7 +1,8 @@
 // Randomized differential testing: XomatiQ (shred + XQ2SQL + relational
 // evaluation) must agree with the native DOM evaluator on generated
-// sub-tree keyword queries and value-equality queries over the same
-// corpus, both with rule plans and with costed plans after ANALYZE.
+// sub-tree keyword queries, value-equality queries and two-binding keyword
+// queries (Fig 8's shape) over the same corpus, both with rule plans and
+// with costed plans after ANALYZE.
 // Random paths come from the documents themselves; random keywords are
 // drawn from real text values (plus misses), so both hit and empty
 // results are exercised.
@@ -142,6 +143,17 @@ constexpr RootInfo kRoots[] = {
     {"hlx_sprot.all", "hlx_n_sequence", "entry_name"},
 };
 
+// A token from a real text value of `collection`, or a guaranteed miss.
+std::string RandomKeyword(CorpusFixture* f, const std::string& collection,
+                          common::Rng* rng) {
+  const auto& leaves = f->leaf_values[collection];
+  const std::string& text = leaves[rng->Uniform(leaves.size())].second;
+  std::vector<std::string> tokens = common::TokenizeKeywords(text);
+  return tokens.empty() || rng->Bernoulli(0.2)
+             ? "zz_definitely_absent"
+             : tokens[rng->Uniform(tokens.size())];
+}
+
 class RandomQueryTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(RandomQueryTest, SubtreeKeywordQueriesAgreeWithNativeDom) {
@@ -200,6 +212,49 @@ TEST_P(RandomQueryTest, ValueEqualityQueriesAgreeWithNativeDom) {
       native_rows.push_back({ids.empty() ? "" : ids.front()});
     }
     ExpectBothAgree(f, query, Sorted(native_rows));
+  }
+}
+
+// Fig 8's shape: two bindings, a keyword on each, no predicate linking
+// them, so the join graph has two components. The native answer crosses
+// the two keyword searches' return values the way paperbench's oracle
+// does.
+TEST_P(RandomQueryTest, TwoBindingKeywordQueriesAgreeWithNativeDom) {
+  CorpusFixture* f = BuildFixture();
+  common::Rng rng(GetParam() + 9000);
+  for (int round = 0; round < 10; ++round) {
+    const RootInfo& a = kRoots[rng.Uniform(3)];
+    const RootInfo& b = kRoots[rng.Uniform(3)];
+    std::string a_word = RandomKeyword(f, a.collection, &rng);
+    std::string b_word = RandomKeyword(f, b.collection, &rng);
+    std::string query = std::string("FOR $a IN document(\"") + a.collection +
+                        "\")/" + a.root + ", $b IN document(\"" +
+                        b.collection + "\")/" + b.root +
+                        " WHERE contains($a, \"" + a_word +
+                        "\", any) AND contains($b, \"" + b_word +
+                        "\", any) RETURN $a//" + a.id_path + ", $b//" +
+                        b.id_path;
+
+    auto a_steps = baseline::ParseNativePath(std::string("//") + a.id_path);
+    auto b_steps = baseline::ParseNativePath(std::string("//") + b.id_path);
+    ASSERT_TRUE(a_steps.ok());
+    ASSERT_TRUE(b_steps.ok());
+    std::set<std::vector<std::string>> rows;  // XQ answers are DISTINCT
+    for (const xml::XmlDocument* a_doc :
+         f->native.KeywordSearch(a.collection, a_word)) {
+      for (const xml::XmlDocument* b_doc :
+           f->native.KeywordSearch(b.collection, b_word)) {
+        for (const std::string& av :
+             baseline::EvalPathValues(*a_doc->root(), *a_steps)) {
+          for (const std::string& bv :
+               baseline::EvalPathValues(*b_doc->root(), *b_steps)) {
+            rows.insert({av, bv});
+          }
+        }
+      }
+    }
+    ExpectBothAgree(f, query, Sorted(std::vector<std::vector<std::string>>(
+                                  rows.begin(), rows.end())));
   }
 }
 

@@ -44,6 +44,34 @@ TEST(SqlEngineTest, ExplainDoesNotExecute) {
   EXPECT_FALSE(r->explain_text.empty());
 }
 
+// A caller that passes read_epoch holds a snapshot, which holds the DDL
+// latch shared. A write statement would take the write latch under it, and
+// DDL would then wait on this thread's own snapshot forever. Every write
+// statement is refused instead; reads at the same epoch still run.
+TEST(SqlEngineTest, WriteAtPinnedReadEpochIsRefused) {
+  auto db = Database::OpenInMemory();
+  SqlEngine engine(db.get());
+  ASSERT_TRUE(engine.Execute("CREATE TABLE t (id INT)").ok());
+  ASSERT_TRUE(engine.Execute("INSERT INTO t VALUES (1)").ok());
+  rel::Snapshot snap = db->BeginSnapshot();
+  for (const char* sql :
+       {"CREATE TABLE u (id INT)", "CREATE INDEX i ON t (id)", "DROP TABLE t",
+        "INSERT INTO t VALUES (2)", "UPDATE t SET id = 3",
+        "DELETE FROM t", "ANALYZE"}) {
+    common::QueryRequest req = common::QueryRequest::Sql(sql);
+    req.read_epoch = snap.epoch();
+    auto r = engine.Execute(req);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), common::StatusCode::kInvalidArgument) << sql;
+  }
+  common::QueryRequest read = common::QueryRequest::Sql("SELECT id FROM t");
+  read.read_epoch = snap.epoch();
+  auto rows = engine.Execute(read);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(rows->rows.size(), 1u);
+  EXPECT_EQ(rows->rows[0][0].AsInt(), 1);
+}
+
 // Differential property suite: the same random query set must produce
 // identical results on a database with the full index complement and on
 // an index-free copy (SeqScan+Filter reference plans). This pins the

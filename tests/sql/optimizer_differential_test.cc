@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/fault_injector.h"
+#include "common/metrics.h"
 #include "sql/engine.h"
 
 namespace xomatiq::sql {
@@ -94,9 +95,8 @@ void Seed(SqlEngine* engine) {
   run(txts);
 }
 
-// Canonical multiset rendering of a result: one pipe-joined line per row,
-// sorted.
-std::vector<std::string> Canonical(const QueryResult& result) {
+// One pipe-joined line per row, in result order.
+std::vector<std::string> Lines(const QueryResult& result) {
   std::vector<std::string> rows;
   rows.reserve(result.rows.size());
   for (const rel::Tuple& tuple : result.rows) {
@@ -107,6 +107,12 @@ std::vector<std::string> Canonical(const QueryResult& result) {
     }
     rows.push_back(std::move(line));
   }
+  return rows;
+}
+
+// Canonical multiset rendering of a result: its lines, sorted.
+std::vector<std::string> Canonical(const QueryResult& result) {
+  std::vector<std::string> rows = Lines(result);
   std::sort(rows.begin(), rows.end());
   return rows;
 }
@@ -191,6 +197,189 @@ TEST(OptimizerDifferentialTest, SeventyRelationJoinSameWithAndWithoutStats) {
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   EXPECT_EQ(plan->explain_text.find("est rows="), std::string::npos)
       << plan->explain_text;
+}
+
+// Occurrences of `needle` in `text`.
+size_t Count(const std::string& text, const std::string& needle) {
+  size_t n = 0;
+  for (size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+// A join graph with several connected components plans each component on
+// its own and crosses them last. Under a DISTINCT root each component is
+// narrowed to the columns read above the join and deduplicated; one that
+// nothing above reads keeps a single row. Rule and costed plans must
+// return the kFromOrder chain's rows in the same order.
+class ComponentDedupeTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    db_ = Database::OpenInMemory();
+    costed_ = std::make_unique<SqlEngine>(db_.get());
+    EngineOptions rule_opts;
+    rule_opts.planner.mode = PlannerMode::kRuleBased;
+    rule_ = std::make_unique<SqlEngine>(db_.get(), rule_opts);
+    EngineOptions from_opts;
+    from_opts.planner.mode = PlannerMode::kFromOrder;
+    from_order_ = std::make_unique<SqlEngine>(db_.get(), from_opts);
+    Seed(costed_.get());
+    ASSERT_TRUE(costed_->Execute("ANALYZE").ok());
+  }
+
+  std::string Explain(SqlEngine* engine, const std::string& sql) {
+    auto r = engine->Execute("EXPLAIN " + sql);
+    EXPECT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+    return r.ok() ? r->explain_text : "";
+  }
+
+  // Runs `sql` in the three modes; the rows and their order must match.
+  void ExpectSameOrderedRows(const std::string& sql) {
+    auto want = from_order_->Execute(sql);
+    ASSERT_TRUE(want.ok()) << sql << ": " << want.status().ToString();
+    for (SqlEngine* engine : {rule_.get(), costed_.get()}) {
+      auto got = engine->Execute(sql);
+      ASSERT_TRUE(got.ok()) << sql << ": " << got.status().ToString();
+      EXPECT_EQ(Lines(*got), Lines(*want))
+          << sql << "\n" << Explain(engine, sql);
+    }
+  }
+
+  std::unique_ptr<Database> db_;
+  std::unique_ptr<SqlEngine> costed_;
+  std::unique_ptr<SqlEngine> rule_;
+  std::unique_ptr<SqlEngine> from_order_;
+};
+
+TEST_F(ComponentDedupeTest, DedupesEachComponentUnderTheCross) {
+  const char* queries[] = {
+      // Two joined components; the ORDER BY key n.id is not selected.
+      "SELECT DISTINCT d.coll, t.value FROM doc d, node n, txt t, node m "
+      "WHERE n.doc = d.id AND n.path = 1 AND t.node = m.id AND m.ord = 3 "
+      "ORDER BY n.id, t.value",
+      // Two single-relation components, a descending key.
+      "SELECT DISTINCT n.path, m.ord FROM node n, node m "
+      "WHERE n.id < 20 AND m.id < 30 ORDER BY n.path DESC, m.ord",
+  };
+  for (const char* sql : queries) {
+    ExpectSameOrderedRows(sql);
+    for (SqlEngine* engine : {rule_.get(), costed_.get()}) {
+      std::string plan = Explain(engine, sql);
+      EXPECT_EQ(Count(plan, "NestedLoopJoin"), 1u) << sql << "\n" << plan;
+      EXPECT_EQ(Count(plan, "Distinct"), 3u) << sql << "\n" << plan;
+    }
+    std::string chain = Explain(from_order_.get(), sql);
+    EXPECT_EQ(Count(chain, "Distinct"), 1u) << sql << "\n" << chain;
+  }
+  // The sort key survives the narrowing of its component.
+  std::string plan = Explain(rule_.get(), queries[0]);
+  size_t project = plan.find("Project [n.id, d.coll]");
+  EXPECT_NE(project, std::string::npos) << plan;
+  EXPECT_LT(plan.find("Sort by n.id"), project) << plan;
+}
+
+TEST_F(ComponentDedupeTest, UnreadComponentIsAnExistenceTest) {
+  // txt is read by nothing above the join: one row of it decides whether
+  // the doc side is returned at all.
+  const std::string hit =
+      "SELECT DISTINCT d.coll FROM doc d, txt t "
+      "WHERE CONTAINS(t.value, 'token7') ORDER BY d.coll";
+  const std::string miss =
+      "SELECT DISTINCT d.coll FROM doc d, txt t "
+      "WHERE CONTAINS(t.value, 'absent') ORDER BY d.coll";
+  ExpectSameOrderedRows(hit);
+  ExpectSameOrderedRows(miss);
+  for (SqlEngine* engine : {rule_.get(), costed_.get()}) {
+    auto ran = engine->Execute("EXPLAIN ANALYZE " + hit);
+    ASSERT_TRUE(ran.ok()) << ran.status().ToString();
+    EXPECT_NE(ran->explain_text.find("Limit 1 "), std::string::npos)
+        << ran->explain_text;
+    EXPECT_NE(ran->explain_text.find("actual rows=1 "), std::string::npos)
+        << ran->explain_text;
+    auto rows = engine->Execute(hit);
+    ASSERT_TRUE(rows.ok());
+    EXPECT_EQ(rows->rows.size(), 3u);  // c0, c1, c2
+    auto none = engine->Execute(miss);
+    ASSERT_TRUE(none.ok());
+    EXPECT_TRUE(none->rows.empty());
+  }
+}
+
+TEST_F(ComponentDedupeTest, OtherShapesKeepTheirAnswers) {
+  // An Aggregate counts rows, so DISTINCT over GROUP BY crosses undeduped
+  // components, and so does a SELECT without DISTINCT. A LIMIT above
+  // DISTINCT only truncates the deduplicated stream.
+  const char* plain[] = {
+      "SELECT DISTINCT COUNT(*) FROM doc d, node n WHERE n.path = 2 "
+      "GROUP BY d.coll",
+      "SELECT d.coll, n.ord FROM doc d, node n WHERE d.id < 3 AND "
+      "n.path = 4 ORDER BY d.id, n.id",
+  };
+  for (const char* sql : plain) {
+    ExpectSameOrderedRows(sql);
+    for (SqlEngine* engine : {rule_.get(), costed_.get()}) {
+      std::string plan = Explain(engine, sql);
+      EXPECT_LE(Count(plan, "Distinct"), 1u) << sql << "\n" << plan;
+    }
+  }
+  const std::string limited =
+      "SELECT DISTINCT d.coll, n.ord FROM doc d, node n WHERE n.path = 2 "
+      "ORDER BY d.coll, n.ord LIMIT 5 OFFSET 2";
+  ExpectSameOrderedRows(limited);
+  EXPECT_EQ(Count(Explain(rule_.get(), limited), "Distinct"), 3u);
+}
+
+TEST_F(ComponentDedupeTest, CostedCrossCarriesEstimates) {
+  for (const char* sql :
+       {"SELECT DISTINCT n.path, m.ord FROM node n, node m "
+        "WHERE n.id < 20 AND m.id < 30",
+        "SELECT n.id, t.value FROM node n, txt t WHERE n.path = 1"}) {
+    std::string plan = Explain(costed_.get(), sql);
+    size_t cross = plan.find("NestedLoopJoin");
+    ASSERT_NE(cross, std::string::npos) << plan;
+    std::string line = plan.substr(cross, plan.find('\n', cross) - cross);
+    EXPECT_NE(line.find("(est rows="), std::string::npos) << plan;
+  }
+}
+
+// sql.exec.values_materialized sums rows x width over what the
+// materializing operators hold. On two 4-row tables with two distinct
+// rows each: the FROM-order chain holds b (4 x 1) as the nested loop's
+// inner side, all 16 pairs (16 x 3) for the Sort and the 4 answers (4 x 2)
+// in the Distinct: 60. Deduplicating each side first holds a's 2 distinct
+// rows (2 x 2), b's 2 (2 x 1 in its Distinct, 2 x 1 as the inner side),
+// 4 pairs for the Sort (4 x 3) and the 4 answers: 28.
+TEST(ValuesMaterializedTest, CountsWhatOperatorsHold) {
+  auto db = Database::OpenInMemory();
+  SqlEngine engine(db.get());
+  EngineOptions from_opts;
+  from_opts.planner.mode = PlannerMode::kFromOrder;
+  SqlEngine from_order(db.get(), from_opts);
+  for (const char* sql :
+       {"CREATE TABLE a (k INT, v INT)", "CREATE TABLE b (w INT)",
+        "INSERT INTO a VALUES (1, 10), (1, 10), (1, 10), (2, 20)",
+        "INSERT INTO b VALUES (5), (5), (5), (6)"}) {
+    ASSERT_TRUE(engine.Execute(sql).ok()) << sql;
+  }
+  common::Counter* values = common::MetricsRegistry::Global().GetCounter(
+      "sql.exec.values_materialized");
+  const std::string sql =
+      "SELECT DISTINCT a.v, b.w FROM a, b ORDER BY a.k";
+  auto held = [&](SqlEngine* e) {
+    uint64_t before = values->Value();
+    auto r = e->Execute(sql);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->rows.size(), 4u);
+    return values->Value() - before;
+  };
+  EXPECT_EQ(held(&from_order), 60u);
+  EXPECT_EQ(held(&engine), 28u);
+  auto stats = engine.Execute("STATS");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_NE(stats->explain_text.find("sql_exec_values_materialized"),
+            std::string::npos);
 }
 
 class StatsRecoveryTest : public ::testing::Test {

@@ -150,6 +150,52 @@ RETURN $a//enzyme_id)");
   EXPECT_EQ(once.rows.size(), twice.rows.size());
 }
 
+// Execute returns one statement's rows as the statement streams them (it
+// is already DISTINCT over the returned columns) and a DNF union's rows
+// in first-seen order without duplicates: the same rows in the same order
+// as a seen-set union over every statement.
+TEST_F(XomatiqQueryTest, RowsFollowTheStatementsFirstSeenOrder) {
+  const char* queries[] = {
+      R"(
+FOR $a IN document("hlx_embl.inv")/hlx_n_sequence,
+    $b IN document("hlx_sprot.all")/hlx_n_sequence
+WHERE contains($a, "cdc6", any) AND contains($b, "cdc6", any)
+RETURN $b//sprot_accession_number, $a//embl_accession_number)",
+      R"(
+FOR $a IN document("hlx_enzyme.DEFAULT")/hlx_enzyme
+WHERE contains($a//enzyme_description, "kinase")
+   OR contains($a//enzyme_description, "kinase")
+RETURN $a//enzyme_id, $a//enzyme_description)",
+  };
+  const size_t statements[] = {1, 2};
+  for (size_t q = 0; q < 2; ++q) {
+    auto translation = xomatiq_->Translate(queries[q]);
+    ASSERT_TRUE(translation.ok()) << translation.status().ToString();
+    ASSERT_EQ(translation->stmts.size(), statements[q]);
+    std::set<rel::CompositeKey, rel::CompositeKeyLess> seen;
+    std::vector<rel::Tuple> want;
+    size_t streamed = 0;
+    for (const auto& stmt : translation->stmts) {
+      auto run = xomatiq_->engine()->ExecuteSelectStmtBatched(
+          *stmt, [&](rel::RowBatch& batch) {
+            for (size_t i = 0; i < batch.size(); ++i) {
+              ++streamed;
+              if (seen.insert(batch.row(i)).second) {
+                want.push_back(batch.row(i));
+              }
+            }
+            return true;
+          });
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+    }
+    ASSERT_FALSE(want.empty()) << queries[q];
+    // One statement streams no duplicate; the repeated disjunct streams
+    // every row twice.
+    EXPECT_EQ(streamed, want.size() * statements[q]) << queries[q];
+    EXPECT_EQ(MustExecute(queries[q]).rows, want) << queries[q];
+  }
+}
+
 TEST_F(XomatiqQueryTest, BeforeAfterOrderOperators) {
   // enzyme_id precedes disease_list in every document (Fig 5 DTD order).
   XqResult before = MustExecute(R"(

@@ -310,53 +310,62 @@ Distinct
   Project [sprot_accession_number, embl_accession_number]
     Sort by d_a.doc_id
       NestedLoopJoin
-        IndexNLJoin inner=xml_text USING idx_text_node key=(n6.node_id)
-          HashJoin on n_a.doc_id = n6.doc_id
-            HashJoin on n_a.doc_id = d_a.doc_id
-              HashJoin on na0.doc_id = n_a.doc_id
-                IndexNLJoin inner=xml_node USING idx_node_id key=(txt1.node_id)
-                  KeywordScan xml_text USING idx_text_keyword keyword='cdc6'
-                IndexScan xml_node USING idx_node_path key=(19)
-              IndexScan xml_document USING idx_doc_collection key=(hlx_embl.inv)
-            IndexScan xml_node USING idx_node_path key=(24)
-        IndexNLJoin inner=xml_text USING idx_text_node key=(n4.node_id)
-          HashJoin on n_b.doc_id = n4.doc_id
-            HashJoin on n_b.doc_id = d_b.doc_id
-              HashJoin on na2.doc_id = n_b.doc_id
-                IndexNLJoin inner=xml_node USING idx_node_id key=(txt3.node_id)
-                  KeywordScan xml_text USING idx_text_keyword keyword='cdc6'
-                IndexScan xml_node USING idx_node_path key=(19)
-              IndexScan xml_document USING idx_doc_collection key=(hlx_sprot.all)
-            IndexScan xml_node USING idx_node_path key=(40)
+        Distinct
+          Project [d_a.doc_id, txt7.value]
+            IndexNLJoin inner=xml_text USING idx_text_node key=(n6.node_id)
+              HashJoin on n_a.doc_id = n6.doc_id
+                HashJoin on n_a.doc_id = d_a.doc_id
+                  HashJoin on na0.doc_id = n_a.doc_id
+                    IndexNLJoin inner=xml_node USING idx_node_id key=(txt1.node_id)
+                      KeywordScan xml_text USING idx_text_keyword keyword='cdc6'
+                    IndexScan xml_node USING idx_node_path key=(19)
+                  IndexScan xml_document USING idx_doc_collection key=(hlx_embl.inv)
+                IndexScan xml_node USING idx_node_path key=(24)
+        Distinct
+          Project [txt5.value]
+            IndexNLJoin inner=xml_text USING idx_text_node key=(n4.node_id)
+              HashJoin on n_b.doc_id = n4.doc_id
+                HashJoin on n_b.doc_id = d_b.doc_id
+                  HashJoin on na2.doc_id = n_b.doc_id
+                    IndexNLJoin inner=xml_node USING idx_node_id key=(txt3.node_id)
+                      KeywordScan xml_text USING idx_text_keyword keyword='cdc6'
+                    IndexScan xml_node USING idx_node_path key=(19)
+                  IndexScan xml_document USING idx_doc_collection key=(hlx_sprot.all)
+                IndexScan xml_node USING idx_node_path key=(40)
 )plan",
        R"plan(
-Distinct (est rows=1 cost=112)
-  Project [sprot_accession_number, embl_accession_number] (est rows=0 cost=112)
-    Sort by d_a.doc_id (est rows=0 cost=112)
-      IndexNLJoin inner=xml_text USING idx_text_node key=(n4.node_id) (est rows=0 cost=112)
-        Filter (((n4.ordinal > n_b.ordinal) AND (n4.ordinal <= n_b.end_ordinal)) AND (n4.path_id = 40)) (est rows=0 cost=112)
-          IndexNLJoin inner=xml_node USING idx_node_doc_ord key=(n_b.doc_id) (est rows=0 cost=112)
-            Filter CONTAINS(txt3.value, 'cdc6') (est rows=0 cost=112)
-              IndexNLJoin inner=xml_text USING idx_text_node key=(na2.node_id) (est rows=0 cost=112)
-                Filter ((na2.ordinal >= n_b.ordinal) AND (na2.ordinal <= n_b.end_ordinal)) (est rows=0 cost=112)
-                  IndexNLJoin inner=xml_node USING idx_node_doc_ord key=(n_b.doc_id) (est rows=0 cost=112)
-                    Filter ((n_b.kind = 1) AND (n_b.path_id = 19)) (est rows=0 cost=112)
-                      IndexNLJoin inner=xml_node USING idx_node_doc_ord key=(d_b.doc_id) (est rows=0 cost=112)
-                        NestedLoopJoin (est rows=0 cost=112)
-                          Filter CONTAINS(txt1.value, 'cdc6') (est rows=0 cost=92)
-                            IndexNLJoin inner=xml_text USING idx_text_node key=(na0.node_id) (est rows=0 cost=92)
-                              Filter ((na0.ordinal >= n_a.ordinal) AND (na0.ordinal <= n_a.end_ordinal)) (est rows=0 cost=92)
-                                IndexNLJoin inner=xml_node USING idx_node_doc_ord key=(n_a.doc_id) (est rows=0 cost=92)
-                                  IndexNLJoin inner=xml_text USING idx_text_node key=(n6.node_id) (est rows=0 cost=91)
-                                    Filter (((n6.doc_id = n_a.doc_id) AND (n6.ordinal > n_a.ordinal)) AND (n6.ordinal <= n_a.end_ordinal)) (est rows=0 cost=90)
-                                      NestedLoopJoin (est rows=16 cost=90)
-                                        Filter (n_a.doc_id = d_a.doc_id) (est rows=2 cost=61)
-                                          NestedLoopJoin (est rows=40 cost=61)
-                                            IndexScan xml_document USING idx_doc_collection key=(hlx_embl.inv) (est rows=8 cost=20)
-                                            Filter (n_a.kind = 1) (est rows=5 cost=25)
-                                              IndexScan xml_node USING idx_node_path key=(19) (est rows=10 cost=25)
-                                        IndexScan xml_node USING idx_node_path key=(24) (est rows=10 cost=23)
-                          IndexScan xml_document USING idx_doc_collection key=(hlx_sprot.all) (est rows=8 cost=20)
+Distinct (est rows=1 cost=140)
+  Project [sprot_accession_number, embl_accession_number] (est rows=1 cost=139)
+    Sort by d_a.doc_id (est rows=1 cost=139)
+      NestedLoopJoin (est rows=1 cost=139)
+        Distinct (est rows=1 cost=69)
+          Project [d_a.doc_id, txt7.value] (est rows=0 cost=69)
+            Filter CONTAINS(txt1.value, 'cdc6') (est rows=0 cost=69)
+              IndexNLJoin inner=xml_text USING idx_text_node key=(na0.node_id) (est rows=0 cost=69)
+                Filter ((na0.ordinal >= n_a.ordinal) AND (na0.ordinal <= n_a.end_ordinal)) (est rows=0 cost=69)
+                  IndexNLJoin inner=xml_node USING idx_node_doc_ord key=(n_a.doc_id) (est rows=0 cost=69)
+                    IndexNLJoin inner=xml_text USING idx_text_node key=(n6.node_id) (est rows=0 cost=68)
+                      Filter (d_a.collection = 'hlx_embl.inv') (est rows=0 cost=68)
+                        IndexNLJoin inner=xml_document USING idx_doc_id key=(n_a.doc_id) (est rows=0 cost=68)
+                          Filter ((n6.ordinal > n_a.ordinal) AND (n6.ordinal <= n_a.end_ordinal)) (est rows=0 cost=67)
+                            HashJoin on n6.doc_id = n_a.doc_id (est rows=2 cost=67)
+                              IndexScan xml_node USING idx_node_path key=(24) (est rows=10 cost=23)
+                              Filter (n_a.kind = 1) (est rows=5 cost=25)
+                                IndexScan xml_node USING idx_node_path key=(19) (est rows=10 cost=25)
+        Distinct (est rows=1 cost=69)
+          Project [txt5.value] (est rows=0 cost=69)
+            Filter CONTAINS(txt3.value, 'cdc6') (est rows=0 cost=69)
+              IndexNLJoin inner=xml_text USING idx_text_node key=(na2.node_id) (est rows=0 cost=69)
+                Filter ((na2.ordinal >= n_b.ordinal) AND (na2.ordinal <= n_b.end_ordinal)) (est rows=0 cost=69)
+                  IndexNLJoin inner=xml_node USING idx_node_doc_ord key=(n_b.doc_id) (est rows=0 cost=69)
+                    IndexNLJoin inner=xml_text USING idx_text_node key=(n4.node_id) (est rows=0 cost=68)
+                      Filter (d_b.collection = 'hlx_sprot.all') (est rows=0 cost=68)
+                        IndexNLJoin inner=xml_document USING idx_doc_id key=(n_b.doc_id) (est rows=0 cost=68)
+                          Filter ((n4.ordinal > n_b.ordinal) AND (n4.ordinal <= n_b.end_ordinal)) (est rows=0 cost=67)
+                            HashJoin on n4.doc_id = n_b.doc_id (est rows=2 cost=67)
+                              IndexScan xml_node USING idx_node_path key=(40) (est rows=10 cost=23)
+                              Filter (n_b.kind = 1) (est rows=5 cost=25)
+                                IndexScan xml_node USING idx_node_path key=(19) (est rows=10 cost=25)
 )plan"},
       {kFig9, R"plan(
 Distinct

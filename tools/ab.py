@@ -16,7 +16,10 @@ first seed.
 
 The report gives, for each workload and each end-to-end metric of
 BENCHMARK.json, the median B/A ratio over the pairs, the range of the pair
-ratios, the median of each side, and the failed ops of each side. From the
+ratios, the median of each side, the quartiles of A's runs, the pairs B
+wins (better than its A, ties counting for neither side), and the failed
+ops of each side. A gain is claimed only when B wins at least nine tenths
+of the pairs and B's median lies outside A's quartiles. From the
 traced runs it gives every per-layer metric of BENCHMARK.json with both
 values. It gives a B/A ratio only for counters and ratios: a timing (unit
 ms or %) from one traced run per side is marked "1 pair", since a single
@@ -95,12 +98,13 @@ def report(workload, seeds, seconds, pairs, metrics):
     print("%s: %d seeds x ABBA, %g s; failed ops A=%d B=%d" %
           (workload, len(seeds), seconds, failed_ops(a_runs),
            failed_ops(b_runs)))
-    print("  %-14s %-7s %9s %17s %11s %11s" %
+    print("  %-14s %-7s %9s %17s %11s %11s %19s %7s" %
           ("metric", "better", "median B/A", "pair range", "A median",
-           "B median"))
+           "B median", "A quartiles", "B wins"))
     for m in metrics:
         name = m["name"]
         ratios = []
+        wins = 0
         for a, b in pairs:
             if a is None or b is None:
                 continue
@@ -108,12 +112,18 @@ def report(workload, seeds, seconds, pairs, metrics):
             bv = b["metrics"].get(name, {}).get("value")
             if av is not None and bv is not None and av > 0:
                 ratios.append(bv / av)
+                wins += bv < av if m["better"] == "lower" else bv > av
         if not ratios:
             continue
-        print("  %-14s %-7s %9.3f %8.3f-%-8.3f %11.4g %11.4g" %
+        a_side = side_of(a_runs, name)
+        q1, _, q3 = (statistics.quantiles(a_side, n=4) if len(a_side) > 1
+                     else a_side * 3)
+        print("  %-14s %-7s %9.3f %8.3f-%-8.3f %11.4g %11.4g %9.4g-%-9.4g "
+              "%3d/%-3d" %
               (name, m["better"], statistics.median(ratios), min(ratios),
-               max(ratios), statistics.median(side_of(a_runs, name)),
-               statistics.median(side_of(b_runs, name))))
+               max(ratios), statistics.median(a_side),
+               statistics.median(side_of(b_runs, name)), q1, q3, wins,
+               len(ratios)))
     sys.stdout.flush()
 
 
